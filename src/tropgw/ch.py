@@ -2,21 +2,18 @@
 
 Counts are indexed by degree d, genus g and two finitely supported
 sequences: alpha (left ends of prescribed position, by weight) and beta
-(free left ends, by weight), subject to I(alpha) + I(beta) = d.  The
-recursion either fixes one free end of weight k, at the cost
-
-    k odd:  (k-1)/2 * H + <k>          k even:  k/2 * H
-
+(free left ends, by weight), subject to I(alpha) + I(beta) = d.  Values are
+exact (rank, signature) pairs, multiplied componentwise.  The recursion
+either fixes one free end of weight k, at the cost of the pair of
+(k-1)/2 * H + <k> (k odd) or k/2 * H (k even), which is (k, k mod 2),
 or splits off a floor, passing to degree d - 1 with alpha' <= alpha,
 beta' >= beta.  The degree-(d-1) term is weighted by the floor's own
-multiplicity, binom(alpha, alpha') * binom(beta', beta) times
-
-    I^(beta'-beta) odd:   (I^(beta'-beta)-1)/2 * H + <I^(beta'-beta)>
-    I^(beta'-beta) even:  I^(beta'-beta)/2 * H
+multiplicity, binom(alpha, alpha') * binom(beta', beta) times the pair
+(m, m mod 2) with m = I^(beta'-beta).
 
 Genus bookkeeping allows negative g (counts of disconnected curves), so
 the base case is the single line: degree 1 counts <1> at genus 0 and
-nothing otherwise.
+nothing otherwise.  ``ch_count`` returns p*H + q*<+-I^beta>.
 
 The memo table is an associative cache: every insertion for a key writes
 the same value, so concurrent evaluation and cache merging are safe.
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 from math import comb, prod
 
-from .gw import GWElement, ONE, ZERO, diag, hyperbolic
+from .gw import GWElement, gw_from_pair
 
 Sequence = tuple[int, ...]
 
@@ -101,21 +98,6 @@ def _iter_sub_sequences(a: Sequence):
         yield trim(choice)
 
 
-def _gw_fix_factor(k: int) -> GWElement:
-    if k % 2:
-        return hyperbolic((k - 1) // 2) + diag(k)
-    return hyperbolic(k // 2)
-
-
-_FACTORS = {
-    # (fix-end factor, floor factor) per value system
-    "gw": (_gw_fix_factor, _gw_fix_factor),
-    "rank": (lambda k: k, lambda m: m),
-    "real": (lambda k: 1 if k % 2 else 0, lambda m: 1 if m % 2 else 0),
-}
-
-_UNITS = {"gw": (ONE, ZERO), "rank": (1, 0), "real": (1, 0)}
-
 _memo: dict = {}
 
 
@@ -123,7 +105,7 @@ def max_genus(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
-def ch_count(d: int, g: int, alpha=(), beta=None, system: str = "gw"):
+def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
     """Count of degree-d genus-g curves with end data (alpha, beta).
 
     ``alpha`` lists prescribed-position left ends by weight, ``beta`` free
@@ -137,30 +119,27 @@ def ch_count(d: int, g: int, alpha=(), beta=None, system: str = "gw"):
     _, ib, _ = seq_stats(beta)
     if ia + ib != d:
         raise ValueError(f"I(alpha) + I(beta) = {ia + ib} != d = {d}")
-    return _ch(d, g, alpha, beta, system)
+    free_weights = [w for w, n in enumerate(beta, start=1) for _ in range(n)]
+    return gw_from_pair(_ch(d, g, alpha, beta), free_weights)
 
 
-def _ch(d: int, g: int, alpha: Sequence, beta: Sequence, system: str):
-    one, zero = _UNITS[system]
+def _ch(d: int, g: int, alpha: Sequence, beta: Sequence) -> tuple[int, int]:
     if d == 1:
-        return one if g == 0 else zero
+        return (1, 1) if g == 0 else (0, 0)
     if g > max_genus(d):
-        return zero
+        return (0, 0)
     if 2 * d + g + sum(beta) - 1 < 0:
-        return zero
-    key = (d, g, alpha, beta, system)
+        return (0, 0)
+    key = (d, g, alpha, beta)
     cached = _memo.get(key)
     if cached is not None:
         return cached
-    fix_factor, floor_factor = _FACTORS[system]
-    total = zero
+    rank = signature = 0
     for k, bk in enumerate(beta, start=1):
         if bk > 0:
-            factor = fix_factor(k)
-            if factor:
-                total = total + factor * _ch(
-                    d, g, _seq_add(alpha, k, 1), _seq_add(beta, k, -1), system
-                )
+            r, s = _ch(d, g, _seq_add(alpha, k, 1), _seq_add(beta, k, -1))
+            rank += k * r
+            signature += (k % 2) * s
     for alpha_p in _iter_sub_sequences(alpha):
         _, ia_p, _ = seq_stats(alpha_p)
         target = d - 1 - ia_p - seq_stats(beta)[1]
@@ -178,19 +157,19 @@ def _ch(d: int, g: int, alpha: Sequence, beta: Sequence, system: str):
             g_p = g - size_gamma + 1
             if size_gamma - 1 > d - 2:
                 continue
-            factor = floor_factor(prod_gamma)
-            if not factor:
-                continue
             coeff = seq_binom(alpha, alpha_p) * seq_binom(beta_p, beta)
             if coeff == 0:
                 continue
-            total = total + (coeff * factor) * _ch(d - 1, g_p, alpha_p, beta_p, system)
-    _memo[key] = total
-    return total
+            r, s = _ch(d - 1, g_p, alpha_p, beta_p)
+            rank += coeff * prod_gamma * r
+            signature += coeff * (prod_gamma % 2) * s
+    value = (rank, signature)
+    _memo[key] = value
+    return value
 
 
 def memo_snapshot() -> dict:
-    """Read-only view of the memo table (used by the cache plumbing)."""
+    """Copy of the memo table, (d, g, alpha, beta) -> (rank, signature)."""
     return dict(_memo)
 
 

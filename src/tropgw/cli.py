@@ -2,7 +2,11 @@
 
 All commands work in exact arithmetic and print deterministic output.  The
 recursion memo can be persisted to a JSON cache file (``--cache`` or the
-``TROPGW_CACHE`` environment variable); a missing cache is never an error.
+``TROPGW_CACHE`` environment variable).  The file holds
+``{"version": 2, "entries": {"d:g:alpha:beta": [rank, signature]}}``.  A
+missing cache is never an error; an unreadable, corrupt or other-version
+file is ignored with one warning and rewritten, and entries that are not a
+valid (rank, signature) pair are dropped with a warning.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import tempfile
 
 from . import ch, floors, paths, templates
 from .curves import random_star, resolve_wall
-from .gw import GWElement, gw_equal, gw_from_json, gw_to_json, render
+from .gw import GWElement, gw_equal, gw_from_pair, gw_to_json, render
 from .lattice import delta_polygon, hirzebruch_polygon
 
 CACHE_ENV = "TROPGW_CACHE"
+CACHE_VERSION = 2
 
 
 def _parse_weights(text: str | None) -> tuple[int, ...]:
@@ -32,41 +37,69 @@ def _cache_path(args) -> str | None:
     return args.cache or os.environ.get(CACHE_ENV)
 
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _cache_entry(name: str, value) -> tuple[tuple, tuple[int, int]]:
+    """Parse one cache entry; ValueError unless it is a valid rank/signature pair."""
+    d, g, alpha, beta = name.split(":")
+    key = (int(d), int(g), _parse_weights(alpha), _parse_weights(beta))
+    if not isinstance(value, list) or [type(x) for x in value] != [int, int]:
+        raise ValueError(f"{value!r} is not a [rank, signature] pair of integers")
+    rank, signature = value
+    if (rank - signature) % 2 or abs(signature) > rank:
+        raise ValueError(f"no form has rank {rank} and signature {signature}")
+    return key, (rank, signature)
+
+
 def _load_cache(path: str | None) -> None:
     if not path or not os.path.exists(path):
         return
-    with open(path) as handle:
-        data = json.load(handle)
-    entries = {}
-    for key, value in data.items():
-        d, g, alpha, beta = key.split(":")
-        parsed = (
-            int(d),
-            int(g),
-            _parse_weights(alpha),
-            _parse_weights(beta),
-            "gw",
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        _warn(f"cache {path} is unreadable ({exc}); starting empty and rewriting it")
+        return
+    if (
+        not isinstance(data, dict)
+        or data.get("version") != CACHE_VERSION
+        or not isinstance(data.get("entries"), dict)
+    ):
+        _warn(
+            f"cache {path} is not a version {CACHE_VERSION} cache; "
+            "starting empty and rewriting it"
         )
-        entries[parsed] = gw_from_json(value)
+        return
+    entries = {}
+    dropped = 0
+    for name, value in data["entries"].items():
+        try:
+            key, pair = _cache_entry(name, value)
+        except ValueError:
+            dropped += 1
+            continue
+        entries[key] = pair
+    if dropped:
+        _warn(f"cache {path}: dropped {dropped} invalid entries")
     ch.memo_load(entries)
 
 
 def _save_cache(path: str | None) -> None:
     if not path:
         return
-    data = {}
-    for key, value in ch.memo_snapshot().items():
-        d, g, alpha, beta, system = key
-        if system != "gw":
-            continue
+    entries = {}
+    for (d, g, alpha, beta), pair in ch.memo_snapshot().items():
         name = ":".join(
             (str(d), str(g), ",".join(map(str, alpha)), ",".join(map(str, beta)))
         )
-        data[name] = gw_to_json(value)
+        entries[name] = list(pair)
+    data = {"version": CACHE_VERSION, "entries": entries}
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     with os.fdopen(fd, "w") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
+        json.dump(data, handle, sort_keys=True)
     os.replace(tmp, path)
 
 
@@ -117,7 +150,7 @@ def cmd_count(args) -> int:
         if args.d is not None:
             polygon = delta_polygon(args.d)
         else:
-            k, a = args.k or 0, args.a or 1
+            k, a = args.k or 0, 1 if args.a is None else args.a
             wl = _parse_weights(args.wl) or (1,) * (a * k + len(_parse_weights(args.wr)))
             wr = _parse_weights(args.wr)
             if any(w != 1 for w in wl + wr):
@@ -161,12 +194,17 @@ def cmd_crosscheck(args) -> int:
             }
             base = values["latticepath"]
             ok = all(gw_equal(base, v) for v in values.values())
-            if not ok:
-                failures += 1
             lines.append(
                 f"d={d} g={g}: {render(base)} "
                 f"[{'PASS' if ok else 'FAIL'}]"
             )
+            if not ok:
+                failures += 1
+                for method, value in values.items():
+                    lines.append(
+                        f"  {method}: {render(value)} "
+                        f"(rank {value.rank}, signature {value.signature})"
+                    )
             for method, value in values.items():
                 rows.append(_result_row(args, method, g, value, d=d))
     if args.format == "plain":
@@ -205,7 +243,7 @@ def cmd_nodepoly(args) -> int:
     if args.format == "csv":
         print("d,g_or_delta,method,rank,signature,display")
         for d, p, q in fit.values:
-            display = render(GWElement.from_dict({1: p + q, -1: p}))
+            display = render(gw_from_pair((2 * p + q, q)))
             print(f"{d},{args.delta},templates,{2 * p + q},{q},{display}")
         return 0
     print(f"node count for {args.delta} nodes: P(d)*H + Q(d)*<1>")

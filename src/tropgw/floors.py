@@ -14,7 +14,10 @@ product over bounded edges of the squared edge factor
 
     w odd:  (w-1)/2 * H + <w>        w even:  w/2 * H
 
-times one unsquared factor per end weight.
+times one unsquared factor per end weight.  The counts run on exact
+(rank, signature) pairs, multiplied componentwise; the edge factor's pair
+is (w, w mod 2).  ``floor_count`` turns the total into the GW(Q) element
+p*H + q*<+-W> with W the product of all end weights.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .ch import weighted_partitions, max_genus
-from .gw import GWElement, ONE, ZERO, diag, hyperbolic
+from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]  # (source floor, target floor, weight), source < target
 
@@ -75,35 +78,23 @@ class FloorDiagram:
         }
 
 
-def edge_mult(w: int, system: str = "gw"):
-    if system == "gw":
-        if w % 2:
-            return hyperbolic((w - 1) // 2) + diag(w)
-        return hyperbolic(w // 2)
-    if system == "rank":
-        return w
-    if system == "real":
-        return 1 if w % 2 else 0
-    raise ValueError(f"unknown system {system!r}")
+def edge_mult(w: int) -> tuple[int, int]:
+    """(rank, signature) of the edge factor of weight w."""
+    return w, w % 2
 
 
-def diagram_mult(diagram: FloorDiagram, system: str = "gw"):
-    """Product of the per-edge factors, each bounded edge taken once."""
-    out = ONE if system == "gw" else 1
+def marked_mult(diagram: FloorDiagram, w_left, w_right) -> tuple[int, int]:
+    """(rank, signature) of any marking: bounded edges squared, ends once."""
+    rank = signature = 1
     for _, _, w in diagram.edges:
-        out = out * edge_mult(w, system)
-    return out
-
-
-def marked_mult(diagram: FloorDiagram, w_left, w_right, system: str = "gw"):
-    """Multiplicity of any marking: bounded edges squared, ends once."""
-    out = ONE if system == "gw" else 1
-    for _, _, w in diagram.edges:
-        f = edge_mult(w, system)
-        out = out * f * f
+        r, s = edge_mult(w)
+        rank *= r * r
+        signature *= s * s
     for w in tuple(w_left) + tuple(w_right):
-        out = out * edge_mult(w, system)
-    return out
+        r, s = edge_mult(w)
+        rank *= r
+        signature *= s
+    return rank, signature
 
 
 def _compositions(total: int, parts: int):
@@ -318,8 +309,7 @@ def floor_count(
     w_right,
     g: int,
     connected: bool = False,
-    system: str = "gw",
-):
+) -> GWElement:
     """Sum of marking counts weighted by marked multiplicities.
 
     By default disconnected curves are included (their total genus is
@@ -330,11 +320,13 @@ def floor_count(
     ``connected=True`` restricts to connected single-component curves.
     """
     w_left, w_right = tuple(w_left), tuple(w_right)
+    if a < 1:
+        raise ValueError("need at least one floor")
     if any(w < 1 for w in w_left + w_right):
         raise ValueError("end weights must be positive")
     if sum(w_left) != a * k + sum(w_right):
         raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
-    total = ZERO if system == "gw" else 0
+    rank = signature = 0
     for free in _free_line_multisets(w_left, w_right):
         if connected and free:
             continue
@@ -350,13 +342,15 @@ def floor_count(
         ):
             nu = count_markings(diagram, wl, wr, free)
             if nu:
-                total = total + nu * marked_mult(diagram, wl, wr, system)
-    return total
+                r, s = marked_mult(diagram, wl, wr)
+                rank += nu * r
+                signature += nu * s
+    return gw_from_pair((rank, signature), w_left + w_right)
 
 
-def delta_floor_count(d: int, g: int, connected: bool = False, system: str = "gw"):
+def delta_floor_count(d: int, g: int, connected: bool = False) -> GWElement:
     """Degree-d plane curve count via floor diagrams (unit left ends)."""
-    return floor_count(1, d, (1,) * d, (), g, connected=connected, system=system)
+    return floor_count(1, d, (1,) * d, (), g, connected=connected)
 
 
 def _severi_diagrams(d: int, delta: int):
@@ -406,19 +400,21 @@ def _severi_diagrams(d: int, delta: int):
                 yield diagram
 
 
-def severi_count(d: int, delta: int, connected: bool = False, system: str = "gw"):
+def severi_count(d: int, delta: int, connected: bool = False) -> GWElement:
     """Count of degree-d plane curves with delta nodes, via floor diagrams."""
     if d < 1 or delta < 0:
         raise ValueError("need d >= 1 and delta >= 0")
-    total = ZERO if system == "gw" else 0
+    rank = signature = 0
     w_left = (1,) * d
     for diagram in _severi_diagrams(d, delta):
         if connected and not diagram.is_connected():
             continue
         nu = count_markings(diagram, w_left, ())
         if nu:
-            total = total + nu * marked_mult(diagram, w_left, (), system)
-    return total
+            r, s = marked_mult(diagram, w_left, ())
+            rank += nu * r
+            signature += nu * s
+    return gw_from_pair((rank, signature))
 
 
 def hirzebruch_count(k: int, a: int, g: int, w_left, w_right) -> GWElement:

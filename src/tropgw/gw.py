@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from math import comb, gcd
 
 REAL_PLACE = "real"
 
@@ -48,6 +48,16 @@ def square_free(n: int) -> int:
         if e % 2:
             s *= p
     return s
+
+
+def _class_product(r1: int, r2: int) -> int:
+    """Square-free representative of r1*r2 for square-free r1 and r2.
+
+    r1*r2 = g^2 * (r1/g) * (r2/g) with g = gcd(r1, r2), and the two
+    cofactors are coprime, so no factorization is needed.
+    """
+    g = gcd(r1, r2)
+    return (r1 // g) * (r2 // g)
 
 
 def _term_key(item: tuple[int, int]) -> tuple[int, int]:
@@ -102,19 +112,11 @@ class GWElement:
         d: dict[int, int] = {}
         for r1, m1 in self.terms:
             for r2, m2 in other.terms:
-                r = square_free(r1 * r2)
+                r = _class_product(r1, r2)
                 d[r] = d.get(r, 0) + m1 * m2
         return GWElement.from_dict(d)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "GWElement":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -140,6 +142,29 @@ def hyperbolic(n: int = 1) -> GWElement:
 ZERO = GWElement()
 ONE = diag(1)
 H = hyperbolic(1)
+
+
+def gw_from_pair(pair: tuple[int, int], weights=()) -> GWElement:
+    """The count p*H + q*<s*W> with the given (rank, signature).
+
+    q = |signature|, p = (rank - q)/2, s is the sign of the signature and W
+    the product of ``weights`` (only its square class matters).  Every
+    pipeline evaluates an exact (rank, signature) pair and builds its
+    result here, once.
+    """
+    rank, signature = pair
+    q = abs(signature)
+    p, odd = divmod(rank - q, 2)
+    if odd or p < 0:
+        raise ValueError(f"no form of this shape has rank {rank}, signature {signature}")
+    w = 1
+    for weight in weights:
+        w = _class_product(w, square_free(weight))
+    d = {1: p, -1: p}
+    if q:
+        cls = w if signature > 0 else -w
+        d[cls] = d.get(cls, 0) + q
+    return GWElement.from_dict(d)
 
 
 def _is_prime(p: int) -> bool:
@@ -222,11 +247,11 @@ def gw_equal(x: GWElement, y: GWElement) -> bool:
     disc_pos = disc_neg = 1
     for r, m in pos:
         if m % 2:
-            disc_pos *= r
+            disc_pos = _class_product(disc_pos, r)
     for r, m in neg:
         if m % 2:
-            disc_neg *= r
-    if square_free(disc_pos) != square_free(disc_neg):
+            disc_neg = _class_product(disc_neg, r)
+    if disc_pos != disc_neg:
         return False
     primes = {2}
     for r, _ in pos + neg:
@@ -275,13 +300,3 @@ def gw_to_json(x: GWElement) -> dict:
         "classes": [{"rep": r, "mult": m} for r, m in x.terms],
         "display": render(x),
     }
-
-
-def gw_from_json(data: dict) -> GWElement:
-    d: dict[int, int] = {}
-    for item in data["classes"]:
-        rep, mult = int(item["rep"]), int(item["mult"])
-        if rep == 0 or square_free(rep) != rep:
-            raise ValueError(f"rep {rep} is not a nonzero square-free integer")
-        d[rep] = d.get(rep, 0) + mult
-    return GWElement.from_dict(d)

@@ -8,14 +8,18 @@ first corner that turns toward the side costs the quadratic-form weight of
 the cut triangle, while the parallelogram move reflects the corner across
 and costs nothing.  A path that has flattened onto the side's boundary
 chain contributes the unit; a stuck path contributes zero.
+
+The recursion runs on exact (rank, signature) pairs, multiplied
+componentwise.  A triangle of normalized area m costs the pair of its
+quadratic-form weight: (m, 0) for even m and (m, +-1) for odd m, the sign
+given by the parity of its interior lattice points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .curves import triangle_mult
-from .gw import GWElement, ONE, ZERO
+from .gw import GWElement, gw_from_pair
 from .lattice import (
     DualSubdivision,
     Point,
@@ -42,27 +46,12 @@ def lambda_key(pt: Point, tie_break: str = "ydesc") -> tuple[int, int]:
     raise ValueError(f"unknown tie break {tie_break!r}")
 
 
-def _gw_triangle(a: Point, b: Point, c: Point) -> GWElement:
-    lengths = (lattice_length(a, b), lattice_length(b, c), lattice_length(c, a))
-    return triangle_mult(normalized_area(a, b, c), lengths, interior_points(a, b, c))
-
-
-def _rank_triangle(a: Point, b: Point, c: Point) -> int:
-    return normalized_area(a, b, c)
-
-
-def _real_triangle(a: Point, b: Point, c: Point) -> int:
-    lengths = (lattice_length(a, b), lattice_length(b, c), lattice_length(c, a))
-    if any(l % 2 == 0 for l in lengths):
-        return 0
-    return -1 if interior_points(a, b, c) % 2 else 1
-
-
-_SYSTEMS = {
-    "gw": (ONE, ZERO, _gw_triangle),
-    "rank": (1, 0, _rank_triangle),
-    "real": (1, 0, _real_triangle),
-}
+def _triangle(a: Point, b: Point, c: Point) -> tuple[int, int]:
+    """(rank, signature) of the quadratic-form weight of a cut triangle."""
+    area = normalized_area(a, b, c)
+    if area % 2 == 0:
+        return area, 0
+    return area, -1 if interior_points(a, b, c) % 2 else 1
 
 
 @dataclass
@@ -88,9 +77,8 @@ def _cross(a: Point, b: Point, c: Point) -> int:
     return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
-def _side_value(path: tuple[Point, ...], side: str, ctx: _Context, system: str):
-    one, zero, triangle = _SYSTEMS[system]
-    key = (path, side, system)
+def _side_value(path: tuple[Point, ...], side: str, ctx: _Context) -> tuple[int, int]:
+    key = (path, side)
     cached = ctx.memo.get(key)
     if cached is not None:
         return cached
@@ -100,32 +88,27 @@ def _side_value(path: tuple[Point, ...], side: str, ctx: _Context, system: str):
         cr = _cross(path[j - 1], path[j], path[j + 1])
         if (cr > 0) if want_left else (cr < 0):
             a, b, c = path[j - 1], path[j], path[j + 1]
-            value = zero
-            factor = triangle(a, b, c)
-            if factor:
-                value = value + factor * _side_value(
-                    path[:j] + path[j + 1:], side, ctx, system
-                )
+            tri_rank, tri_signature = _triangle(a, b, c)
+            r, s = _side_value(path[:j] + path[j + 1:], side, ctx)
+            rank, signature = tri_rank * r, tri_signature * s
             reflected = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
             if ctx.polygon.contains(reflected):
-                value = value + _side_value(
-                    path[:j] + (reflected,) + path[j + 1:], side, ctx, system
-                )
+                r, s = _side_value(path[:j] + (reflected,) + path[j + 1:], side, ctx)
+                rank, signature = rank + r, signature + s
+            value = (rank, signature)
             break
     if value is None:
-        value = one if path == ctx.chains[side] else zero
+        value = (1, 1) if path == ctx.chains[side] else (0, 0)
     ctx.memo[key] = value
     return value
 
 
-def path_mult(
-    path,
-    polygon: Polygon,
-    side: str,
-    tie_break: str = "ydesc",
-    system: str = "gw",
-):
-    """Completion multiplicity of a path on one side of the polygon."""
+def path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc") -> GWElement:
+    """Completion multiplicity of a path on one side of the polygon.
+
+    The class of the result is that of the product of the lattice lengths
+    of the path's segments.
+    """
     if side not in (POSITIVE, NEGATIVE):
         raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}")
     path = tuple(tuple(p) for p in path)
@@ -135,7 +118,8 @@ def path_mult(
     keys = [lambda_key(p, tie_break) for p in path]
     if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
         raise ValueError("path is not strictly increasing in the path order")
-    return _side_value(path, side, _make_context(polygon, tie_break), system)
+    value = _side_value(path, side, _make_context(polygon, tie_break))
+    return gw_from_pair(value, [lattice_length(p, q) for p, q in zip(path, path[1:])])
 
 
 def _iter_paths(points: list[Point], n_steps: int):
@@ -155,12 +139,7 @@ def _iter_paths(points: list[Point], n_steps: int):
     yield from rec(0, n_steps)
 
 
-def count_lattice_path(
-    polygon: Polygon,
-    g: int,
-    tie_break: str = "ydesc",
-    system: str = "gw",
-):
+def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GWElement:
     """Sum of both-side path multiplicities over paths of #ends+g-1 steps.
 
     ``g`` may drop below zero (counts of disconnected curves); it is capped
@@ -171,18 +150,17 @@ def count_lattice_path(
     n_steps = polygon.num_boundary_points() + g - 1
     if n_steps < 1:
         raise ValueError(f"no paths with {n_steps} steps")
-    one, zero, _ = _SYSTEMS[system]
     ctx = _make_context(polygon, tie_break)
     points = sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
-    total = zero
+    rank = signature = 0
     for path in _iter_paths(points, n_steps):
-        pos = _side_value(path, POSITIVE, ctx, system)
-        if not pos:
+        pos_rank, pos_signature = _side_value(path, POSITIVE, ctx)
+        if not pos_rank:
             continue
-        neg = _side_value(path, NEGATIVE, ctx, system)
-        if neg:
-            total = total + pos * neg
-    return total
+        neg_rank, neg_signature = _side_value(path, NEGATIVE, ctx)
+        rank += pos_rank * neg_rank
+        signature += pos_signature * neg_signature
+    return gw_from_pair((rank, signature))
 
 
 def _side_reductions(path: tuple[Point, ...], side: str, ctx: _Context):

@@ -11,7 +11,9 @@ data over valid positions reproduces the node counts
 
 Per placement the template contributes its squared edge factors and the
 number of orderings of its black vertices against the parallel weight-1
-edges inside its span, whose number per gap is determined by d.
+edges inside its span, whose number per gap is determined by d.  The sum
+runs on exact (rank, signature) pairs, multiplied componentwise; every end
+has weight one, so the count is p*H + q*<1>.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .floors import count_interleavings, edge_mult
-from .gw import GWElement, ONE, ZERO, hyperbolic
+from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]
 
@@ -92,12 +94,14 @@ def enumerate_templates(delta: int) -> tuple[Template, ...]:
     return tuple(sorted(set(out), key=lambda t: (t.cogenus, t.length, t.edges)))
 
 
-def template_mult(t: Template, system: str = "gw"):
-    """Product of the per-edge factors (one factor per edge)."""
-    out = ONE if system == "gw" else 1
+def template_mult(t: Template) -> tuple[int, int]:
+    """(rank, signature) of the product of the per-edge factors."""
+    rank = signature = 1
     for _, _, w in t.edges:
-        out = out * edge_mult(w, system)
-    return out
+        r, s = edge_mult(w)
+        rank *= r
+        signature *= s
+    return rank, signature
 
 
 def _crossings(t: Template) -> list[int]:
@@ -135,14 +139,10 @@ def template_placement_data(t: Template, d: int):
     return k_min, k_max, nu
 
 
-def severi_by_templates(d: int, delta: int, system: str = "gw"):
+def severi_by_templates(d: int, delta: int) -> GWElement:
     """Node count via sequences of templates at valid start positions."""
     if d < 1 or delta < 0:
         raise ValueError("need d >= 1 and delta >= 0")
-    one = ONE if system == "gw" else 1
-    zero = ZERO if system == "gw" else 0
-    if delta == 0:
-        return one
     templates = enumerate_templates(delta)
     by_cogenus: dict[int, list[Template]] = {}
     for t in templates:
@@ -161,14 +161,13 @@ def severi_by_templates(d: int, delta: int, system: str = "gw"):
                 for rest in sequences(remaining - c):
                     yield (t,) + rest
 
-    total = zero
+    rank = signature = 0
     for seq in sequences(delta):
-        mult = one
+        seq_rank = seq_signature = 1
         for t in seq:
-            f = template_mult(t, system)
-            mult = mult * f * f
-        if not mult:
-            continue
+            r, s = template_mult(t)
+            seq_rank *= r * r
+            seq_signature *= s * s
 
         def place(idx: int, k_start: int):
             if idx == len(seq):
@@ -183,9 +182,9 @@ def severi_by_templates(d: int, delta: int, system: str = "gw"):
             return subtotal
 
         ways = place(0, 0)
-        if ways:
-            total = total + ways * mult
-    return total
+        rank += ways * seq_rank
+        signature += ways * seq_signature
+    return gw_from_pair((rank, signature))
 
 
 # -- exact polynomial interpolation over the rationals ----------------------
@@ -267,16 +266,6 @@ class NodePolynomialFit:
     values: tuple[tuple[int, int, int], ...]  # (d, P-part, Q-part)
 
 
-def _split_hyperbolic_unit(x: GWElement) -> tuple[int, int]:
-    from .gw import gw_equal
-
-    q = x.signature
-    p, rem = divmod(x.rank - q, 2)
-    if rem or q < 0 or not gw_equal(x, hyperbolic(p) + q * ONE):
-        raise FitError(f"node count is not of the form p*H + q*<1>: {x}")
-    return p, q
-
-
 def fit_node_polynomial(
     delta: int,
     d_start: int | None = None,
@@ -296,8 +285,10 @@ def fit_node_polynomial(
     top = d_start + degree + n_holdout
     values = []
     for d in range(1, top + 1):
-        p, q = _split_hyperbolic_unit(severi_by_templates(d, delta))
-        values.append((d, p, q))
+        value = severi_by_templates(d, delta)
+        if value.signature < 0:
+            raise FitError(f"node count is not of the form p*H + q*<1>: {value}")
+        values.append((d, (value.rank - value.signature) // 2, value.signature))
     window = [(d, p, q) for d, p, q in values if d_start <= d <= d_start + degree]
     p_coeffs = poly_interpolate([(d, p) for d, p, _ in window])
     q_coeffs = poly_interpolate([(d, q) for d, _, q in window])

@@ -7,6 +7,7 @@ import math
 import random
 import time
 
+import gw_reference as ref
 from test_gw import local_solvable
 
 from tropgw.ch import ch_count, max_genus
@@ -156,6 +157,7 @@ def test_criterion_7_gw_ring_suite():
 
 
 def test_criterion_8_rank_signature_consistency():
+    # each pipeline against the GW-valued reference evaluation in tests/
     jobs = []
     for d in range(2, 5):
         for g in range(0, max_genus(d) + 1):
@@ -163,29 +165,16 @@ def test_criterion_8_rank_signature_consistency():
                 (
                     f"latticepath d={d} g={g}",
                     count_lattice_path(delta_polygon(d), g),
-                    count_lattice_path(delta_polygon(d), g, system="rank"),
-                    count_lattice_path(delta_polygon(d), g, system="real"),
+                    ref.count_lattice_path(delta_polygon(d), g),
                 )
             )
     for d in range(2, 6):
         for g in range(0, max_genus(d) + 1):
-            jobs.append(
-                (
-                    f"ch d={d} g={g}",
-                    ch_count(d, g),
-                    ch_count(d, g, system="rank"),
-                    ch_count(d, g, system="real"),
-                )
-            )
+            jobs.append((f"ch d={d} g={g}", ch_count(d, g), ref.ch_count(d, g)))
     for d in range(2, 5):
         for g in range(0, max_genus(d) + 1):
             jobs.append(
-                (
-                    f"floor d={d} g={g}",
-                    delta_floor_count(d, g),
-                    delta_floor_count(d, g, system="rank"),
-                    delta_floor_count(d, g, system="real"),
-                )
+                (f"floor d={d} g={g}", delta_floor_count(d, g), ref.delta_floor_count(d, g))
             )
     for d in range(2, 7):
         for delta in (0, 1, 2):
@@ -193,8 +182,7 @@ def test_criterion_8_rank_signature_consistency():
                 (
                     f"severi d={d} delta={delta}",
                     severi_count(d, delta),
-                    severi_count(d, delta, system="rank"),
-                    severi_count(d, delta, system="real"),
+                    ref.severi_count(d, delta),
                 )
             )
     for d in range(2, 9):
@@ -203,13 +191,13 @@ def test_criterion_8_rank_signature_consistency():
                 (
                     f"templates d={d} delta={delta}",
                     severi_by_templates(d, delta),
-                    severi_by_templates(d, delta, system="rank"),
-                    severi_by_templates(d, delta, system="real"),
+                    ref.severi_by_templates(d, delta),
                 )
             )
-    for label, value, rank_value, real_value in jobs:
-        assert value.rank == rank_value, label
-        assert value.signature == real_value, label
+    for label, value, expected in jobs:
+        assert gw_equal(value, expected), label
+        assert value.rank == expected.rank, label
+        assert value.signature == expected.signature, label
     report("criterion 8", f"({len(jobs)} enumerations, rank and signature exact)")
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from tropgw.ch import ch_count, max_genus, seq_binom, seq_stats, trim
+import gw_reference as ref
+from tropgw.ch import ch_count, max_genus, seq_binom, seq_stats, trim, weighted_partitions
 from tropgw.gw import ONE, gw_equal, hyperbolic, render
 from tropgw.lattice import delta_polygon
 from tropgw.paths import count_lattice_path
@@ -63,13 +64,33 @@ def test_agreement_with_lattice_paths():
 def test_rank_specialization_matches_classical_recursion():
     for d in range(2, 7):
         for g in range(0, max_genus(d) + 1):
-            assert ch_count(d, g).rank == ch_count(d, g, system="rank")
+            assert ch_count(d, g).rank == ref.ch_count(d, g).rank, (d, g)
+    assert [ch_count(d, 0).rank for d in (3, 4)] == [12, 675]
 
 
 def test_signature_specialization_matches_signed_recursion():
     for d in range(2, 6):
         for g in range(0, max_genus(d) + 1):
-            assert ch_count(d, g).signature == ch_count(d, g, system="real")
+            assert ch_count(d, g).signature == ref.ch_count(d, g).signature, (d, g)
+
+
+def test_relative_counts_match_gw_reference():
+    # beta != (d) puts the class of I^beta, often not a square, on the result
+    checked = 0
+    for d in range(1, 6):
+        for ia in range(d + 1):
+            for alpha in weighted_partitions(ia):
+                for beta in weighted_partitions(d - ia):
+                    if beta == (d,):
+                        continue
+                    for g in range(-2, max_genus(d) + 1):
+                        value = ch_count(d, g, alpha, beta)
+                        expected = ref.ch_count(d, g, alpha, beta)
+                        assert gw_equal(value, expected), (d, g, alpha, beta)
+                        assert value.rank == expected.rank
+                        assert value.signature == expected.signature
+                        checked += 1
+    assert checked > 300
 
 
 def test_relative_counts_small():

@@ -1,14 +1,31 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tropgw
+from tropgw import ch
 from tropgw.cli import main
+from tropgw.gw import ONE
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so no memo carries over."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tropgw.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "TROPGW_CACHE"}
+    env["PYTHONPATH"] = src
+    return subprocess.run(
+        [sys.executable, "-m", "tropgw.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def test_count_ch_plain(capsys):
@@ -78,6 +95,17 @@ def test_crosscheck(capsys):
     assert "result: PASS" in out
 
 
+def test_crosscheck_failure_shows_every_method(capsys, monkeypatch):
+    monkeypatch.setattr(ch, "ch_count", lambda d, g: 3 * ONE)
+    code, out = run_cli(capsys, "crosscheck", "--dmax", "3")
+    assert code == 1
+    assert "d=3 g=0: 2ℍ + 8⟨1⟩ [FAIL]" in out
+    assert "  latticepath: 2ℍ + 8⟨1⟩ (rank 12, signature 8)" in out
+    assert "  ch: 3⟨1⟩ (rank 3, signature 3)" in out
+    assert "  floor: 2ℍ + 8⟨1⟩ (rank 12, signature 8)" in out
+    assert "  latticepath-flip: 2ℍ + 8⟨1⟩ (rank 12, signature 8)" in out
+
+
 def test_crosscheck_csv(capsys):
     code, out = run_cli(capsys, "crosscheck", "--dmax", "2", "--format", "csv")
     assert code == 0
@@ -115,9 +143,8 @@ def test_cache_round_trip(tmp_path, capsys):
     )
     assert code == 0 and cache.exists()
     data = json.loads(cache.read_text())
-    key = "3:0::3"
-    assert key in data
-    assert data[key]["classes"] == [{"rep": 1, "mult": 10}, {"rep": -1, "mult": 2}]
+    assert data["version"] == 2
+    assert data["entries"]["3:0::3"] == [12, 8]
     # reload through the cache and recompute
     code, out = run_cli(
         capsys,
@@ -125,3 +152,55 @@ def test_cache_round_trip(tmp_path, capsys):
         "count", "--method", "ch", "--d", "3", "--g", "0",
     )
     assert code == 0 and "rank 12" in out
+
+
+def count_cubics_with_cache(cache):
+    proc = run_cli_process(
+        "--cache", str(cache), "count", "--method", "ch", "--d", "3", "--g", "0"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2ℍ + 8⟨1⟩ (rank 12, signature 8)"
+    assert "Traceback" not in proc.stderr
+    rewritten = json.loads(cache.read_text())
+    assert rewritten["version"] == 2
+    assert rewritten["entries"]["3:0::3"] == [12, 8]
+    return proc.stderr
+
+
+def test_corrupt_cache_is_ignored_and_rewritten(tmp_path):
+    cache = tmp_path / "memo.json"
+    cache.write_text('{"version": 2, "entries": {"3:0::3": [1')
+    stderr = count_cubics_with_cache(cache)
+    assert stderr.count("warning:") == 1 and "unreadable" in stderr
+
+
+def test_parent_format_cache_is_ignored_and_rewritten(tmp_path):
+    cache = tmp_path / "memo.json"
+    old = {"3:0::3": {"classes": [{"rep": 1, "mult": 999}], "display": "999⟨1⟩"}}
+    cache.write_text(json.dumps(old))
+    stderr = count_cubics_with_cache(cache)
+    assert stderr.count("warning:") == 1 and "version 2" in stderr
+
+
+def test_invalid_cache_entries_are_dropped(tmp_path):
+    cache = tmp_path / "memo.json"
+    entries = {
+        "3:0::3": [13, 8],  # rank and signature of different parity
+        "3:0:1:2": [2, 4],  # |signature| > rank
+        "2:0::2": [1, 1],
+    }
+    cache.write_text(json.dumps({"version": 2, "entries": entries}))
+    stderr = count_cubics_with_cache(cache)
+    assert stderr.count("warning:") == 1 and "dropped 2 invalid entries" in stderr
+    assert json.loads(cache.read_text())["entries"]["2:0::2"] == [1, 1]
+
+
+@pytest.mark.parametrize("method", ["floor", "latticepath"])
+def test_floor_count_without_floors_is_an_error(method):
+    proc = run_cli_process(
+        "count", "--method", method, "--k", "1", "--a", "0", "--wl", "1", "--wr", "1",
+        "--g", "0",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,9 @@
 from itertools import permutations
+from math import prod
 
 import pytest
 
+import gw_reference as ref
 from tropgw.curves import SimpleCurve, arith_mult, complex_mult, real_mult
 from tropgw.lattice import DualSubdivision, boundary_end_weights
 
@@ -13,7 +15,6 @@ from tropgw.floors import (
     count_interleavings,
     count_markings,
     delta_floor_count,
-    diagram_mult,
     edge_mult,
     enumerate_diagrams,
     floor_count,
@@ -21,7 +22,14 @@ from tropgw.floors import (
     marked_mult,
     severi_count,
 )
-from tropgw.gw import H, ONE, diag, gw_equal, hyperbolic, hyperbolic_decomposition, render
+from tropgw.gw import (
+    ONE,
+    gw_equal,
+    gw_from_pair,
+    hyperbolic,
+    hyperbolic_decomposition,
+    square_free,
+)
 from tropgw.lattice import delta_polygon, hirzebruch_polygon
 from tropgw.paths import count_lattice_path
 
@@ -77,21 +85,33 @@ def test_diagram_json_dump():
     assert d.to_json() == {"floors": 3, "k": 1, "edges": [[1, 2, 2], [2, 3, 1]]}
 
 
+def pair(x):
+    return x.rank, x.signature
+
+
 def test_edge_and_diagram_mult():
-    assert edge_mult(1) == ONE
-    assert edge_mult(2) == H
-    assert edge_mult(3) == H + diag(3)
-    assert diagram_mult(FloorDiagram(2, 1, ())) == ONE
-    assert diagram_mult(FloorDiagram(2, 1, ((1, 2, 3),))) == H + diag(3)
-    assert diagram_mult(FloorDiagram(2, 1, ((1, 2, 2),))) == H
+    for w in range(1, 9):
+        assert edge_mult(w) == pair(ref.edge_factor(w))
+        assert gw_equal(gw_from_pair(edge_mult(w), (w,)), ref.edge_factor(w))
+    cases = [
+        (FloorDiagram(2, 1, ()), (1, 1), ()),
+        (FloorDiagram(2, 1, ((1, 2, 3),)), (1, 1, 1), ()),
+        (FloorDiagram(2, 1, ((1, 2, 2),)), (1, 1, 1), ()),
+        (FloorDiagram(2, 2, ((1, 2, 1),)), (3, 1, 1), (1,)),
+        (FloorDiagram(2, 2, ((1, 2, 2),)), (2, 2, 2), (2,)),
+    ]
+    for diagram, wl, wr in cases:
+        expected = ref.marked_mult(diagram, wl, wr)
+        assert marked_mult(diagram, wl, wr) == pair(expected), diagram
+        assert gw_equal(gw_from_pair(marked_mult(diagram, wl, wr), wl + wr), expected)
 
 
 def test_marked_mult_squares_bounded_edges():
     d = FloorDiagram(2, 1, ((1, 2, 2),))
-    assert marked_mult(d, (1, 1, 1), ()) == hyperbolic(2)
+    assert gw_from_pair(marked_mult(d, (1, 1, 1), ()), (1, 1, 1)) == hyperbolic(2)
     d3 = FloorDiagram(2, 3, ((1, 2, 3),))
-    value = marked_mult(d3, (3, 3, 3), ())
-    base = edge_mult(3)
+    value = gw_from_pair(marked_mult(d3, (3, 3, 3), ()), (3, 3, 3))
+    base = ref.edge_factor(3)
     expected = base * base * base * base * base
     assert gw_equal(value, expected)
 
@@ -102,7 +122,8 @@ def test_floor_vertex_matches_edge_factor():
     for w in range(1, 7):
         for x in (0, 1, 2):
             star = VertexStar.from_vectors([(-w, 0), (x, 1), (w - x, -1)])
-            assert gw_equal(vertex_mult(star), edge_mult(w))
+            assert gw_equal(vertex_mult(star), ref.edge_factor(w))
+            assert edge_mult(w) == pair(vertex_mult(star))
 
 
 def test_enumerate_diagrams_examples():
@@ -223,6 +244,42 @@ def test_floor_count_examples():
     assert floor_count(0, 1, (1,), (1,), 0) == ONE
 
 
+def test_floor_count_needs_a_floor():
+    with pytest.raises(ValueError):
+        floor_count(1, 0, (1,), (1,), 0)
+    with pytest.raises(ValueError):
+        floor_count(1, -1, (), (1,), 0)
+
+
+WEIGHTED_FLOOR_CASES = [
+    # (k, a, w_left, w_right, g); every case has an end weight above one
+    (1, 2, (3, 1), (1, 1), 0),
+    (1, 2, (2, 2), (1, 1), 0),
+    (1, 2, (2, 1, 1), (1, 1), 0),
+    (0, 2, (2, 1), (2, 1), 0),
+    (0, 2, (3, 1), (3, 1), 1),
+    (2, 2, (3, 2), (1,), 0),
+    (1, 1, (2, 2), (3,), 0),
+    (1, 2, (4,), (2,), 0),
+    (2, 3, (7, 3, 1), (5,), 0),
+    (1, 2, (5, 1), (3, 1), 0),
+    (1, 1, (3,), (1, 1), 0),
+]
+
+
+def test_weighted_floor_counts_match_gw_reference():
+    nonsquare = 0
+    for k, a, wl, wr, g in WEIGHTED_FLOOR_CASES:
+        value = floor_count(k, a, wl, wr, g)
+        expected = ref.floor_count(k, a, wl, wr, g)
+        assert gw_equal(value, expected), (k, a, wl, wr, g)
+        assert value.rank == expected.rank and expected.rank > 0
+        assert value.signature == expected.signature
+        if expected.signature and square_free(prod(wl) * prod(wr)) != 1:
+            nonsquare += 1
+    assert nonsquare >= 4
+
+
 def test_floor_against_lattice_path_and_recursion():
     for d in (2, 3, 4):
         for g in range(-1, max_genus(d) + 1):
@@ -260,11 +317,11 @@ def test_severi_examples():
 
 
 def test_severi_rank_known_values():
-    assert severi_count(4, 3, system="rank") == 675
-    assert [severi_count(d, 1, system="rank") for d in (3, 4, 5)] == [12, 27, 48]
+    assert severi_count(4, 3).rank == 675
+    assert [severi_count(d, 1).rank for d in (3, 4, 5)] == [12, 27, 48]
     for d in range(3, 9):
-        assert severi_count(d, 1, system="rank") == 3 * (d - 1) ** 2
-        assert severi_count(d, 2, system="rank") == (
+        assert severi_count(d, 1).rank == 3 * (d - 1) ** 2
+        assert severi_count(d, 2).rank == (
             3 * (3 * d**4 - 12 * d**3 + 4 * d**2 + 27 * d - 22) // 2
         )
 
@@ -338,7 +395,7 @@ def test_marked_mult_matches_curve_mult_on_all_small_diagrams():
                     ends = boundary_end_weights(sub, polygon)
                     assert sorted(ends) == [1] * (3 * d)
                     curve = SimpleCurve(sub, ends)
-                    value = marked_mult(diagram, w_left, ())
+                    value = gw_from_pair(marked_mult(diagram, w_left, ()), w_left)
                     assert gw_equal(arith_mult(curve), value), diagram
                     assert complex_mult(curve) == value.rank
                     assert real_mult(curve) == value.signature
@@ -358,7 +415,7 @@ def test_marked_mult_matches_curve_mult_with_heavier_edges():
             polygon = delta_polygon(4)
             assert sub.piece_area2() == polygon.area2
             curve = SimpleCurve(sub, boundary_end_weights(sub, polygon))
-            value = marked_mult(diagram, w_left, ())
+            value = gw_from_pair(marked_mult(diagram, w_left, ()), w_left)
             assert gw_equal(arith_mult(curve), value), diagram
             assert complex_mult(curve) == value.rank
             assert real_mult(curve) == value.signature
@@ -368,9 +425,13 @@ def test_rank_signature_specializations():
     for d in (3, 4):
         for g in (0, 1):
             value = delta_floor_count(d, g)
-            assert value.rank == delta_floor_count(d, g, system="rank")
-            assert value.signature == delta_floor_count(d, g, system="real")
+            expected = ref.delta_floor_count(d, g)
+            assert gw_equal(value, expected), (d, g)
+            assert value.rank == expected.rank
+            assert value.signature == expected.signature
     for d, delta in ((4, 2), (5, 1), (6, 2)):
         value = severi_count(d, delta)
-        assert value.rank == severi_count(d, delta, system="rank")
-        assert value.signature == severi_count(d, delta, system="real")
+        expected = ref.severi_count(d, delta)
+        assert gw_equal(value, expected), (d, delta)
+        assert value.rank == expected.rank
+        assert value.signature == expected.signature

@@ -12,11 +12,12 @@ from tropgw.gw import (
     GWElement,
     diag,
     gw_equal,
-    gw_from_json,
+    gw_from_pair,
     gw_to_json,
     hilbert_symbol,
     hyperbolic,
     hyperbolic_decomposition,
+    prime_factors,
     render,
     square_free,
 )
@@ -286,6 +287,27 @@ def test_json_round_trip():
         {"rep": -1, "mult": 2},
         {"rep": -6, "mult": 1},
     ]
-    assert gw_from_json(json.loads(json.dumps(data))) == x
-    with pytest.raises(ValueError):
-        gw_from_json({"classes": [{"rep": 4, "mult": 1}]})
+    decoded = json.loads(json.dumps(data))
+    assert GWElement.from_dict({c["rep"]: c["mult"] for c in decoded["classes"]}) == x
+    assert decoded["display"] == render(x)
+
+
+def test_gw_from_pair_shapes():
+    assert gw_from_pair((12, 8)) == hyperbolic(2) + 8 * ONE
+    assert gw_from_pair((0, 0)) == ZERO
+    assert gw_from_pair((4, 0), (3,)) == hyperbolic(2)
+    assert gw_from_pair((5, -1), (2, 3)) == hyperbolic(2) + diag(-6)
+    assert gw_from_pair((3, 3), (2, 6, 3)) == 3 * ONE  # 2*6*3 = 36 is a square
+    for rank, signature in ((3, 2), (1, 3), (-2, 0), (2, -4)):
+        with pytest.raises(ValueError):
+            gw_from_pair((rank, signature))
+
+
+def test_square_classes_multiply_without_factoring_the_product():
+    p, q = 1_000_000_007, 1_000_000_009
+    x, y = diag(p), diag(q)
+    misses = prime_factors.cache_info().misses
+    assert x * y == GWElement.from_dict({p * q: 1})
+    assert gw_from_pair((1, 1), (p, q, p)) == diag(q)
+    assert gw_equal(x * x, ONE)
+    assert prime_factors.cache_info().misses == misses

@@ -1,8 +1,16 @@
+import itertools
+
 import pytest
 
+import gw_reference as ref
 from tropgw.curves import SimpleCurve, VertexStar, arith_mult, vertex_mult
-from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render
-from tropgw.lattice import boundary_end_weights, delta_polygon, hirzebruch_polygon
+from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render, square_free
+from tropgw.lattice import (
+    boundary_end_weights,
+    delta_polygon,
+    hirzebruch_polygon,
+    lattice_length,
+)
 from tropgw.paths import (
     NEGATIVE,
     POSITIVE,
@@ -81,12 +89,36 @@ def test_tie_break_flip_invariance():
 def test_rank_and_signature_specializations():
     for d in (2, 3, 4):
         gmax = (d - 1) * (d - 2) // 2
-        for g in range(0, gmax + 1):
-            value = count_lattice_path(delta_polygon(d), g)
-            assert value.rank == count_lattice_path(delta_polygon(d), g, system="rank")
-            assert value.signature == count_lattice_path(
-                delta_polygon(d), g, system="real"
-            )
+        for g in range(-1, gmax + 1):
+            for tie_break in ("ydesc", "yasc"):
+                polygon = delta_polygon(d)
+                value = count_lattice_path(polygon, g, tie_break)
+                expected = ref.count_lattice_path(polygon, g, tie_break)
+                assert gw_equal(value, expected), (d, g, tie_break)
+                assert value.rank == expected.rank
+                assert value.signature == expected.signature
+
+
+def test_path_mult_sides_match_gw_reference():
+    # one side's class is the product of the path's segment lengths
+    polygon = delta_polygon(3)
+    points = sorted(polygon.lattice_points(), key=lambda_key)
+    nonsquare = 0
+    for size in range(len(points) - 1):
+        for middle in itertools.combinations(points[1:-1], size):
+            path = (points[0],) + middle + (points[-1],)
+            w = 1
+            for p, q in zip(path, path[1:]):
+                w *= lattice_length(p, q)
+            for side in (POSITIVE, NEGATIVE):
+                value = path_mult(path, polygon, side)
+                expected = ref.path_mult(path, polygon, side)
+                assert gw_equal(value, expected), (path, side)
+                assert value.rank == expected.rank
+                assert value.signature == expected.signature
+                if expected.signature and square_free(w) != 1:
+                    nonsquare += 1
+    assert nonsquare > 0
 
 
 def test_hirzebruch_polygon_counts():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import gw_reference as ref
 from tropgw.floors import severi_count
-from tropgw.gw import H, ONE, diag, gw_equal, hyperbolic, render
+from tropgw.gw import ONE, gw_equal, hyperbolic, render
 from tropgw.templates import (
     FitError,
     Template,
@@ -90,9 +91,12 @@ def test_enumerate_templates_against_brute_force():
 
 
 def test_template_mult_examples():
-    assert template_mult(Template(1, ((0, 1, 2),))) == H
-    assert template_mult(Template(1, ((0, 1, 3),))) == H + diag(3)
-    assert template_mult(Template(2, ((0, 2, 1),))) == ONE
+    assert template_mult(Template(1, ((0, 1, 2),))) == (2, 0)
+    assert template_mult(Template(1, ((0, 1, 3),))) == (3, 1)
+    assert template_mult(Template(2, ((0, 2, 1),))) == (1, 1)
+    for t in enumerate_templates(3):
+        expected = ref.template_mult(t)
+        assert template_mult(t) == (expected.rank, expected.signature), t
 
 
 def test_placement_data():
@@ -145,11 +149,16 @@ def test_shape_is_hyperbolic_plus_units():
 
 
 def test_rank_specialization():
-    for d in range(1, 11):
-        assert severi_by_templates(d, 1, system="rank") == 3 * (d - 1) ** 2 if d >= 2 else True
-    assert severi_by_templates(9, 2, system="rank") == severi_count(
-        9, 2, system="rank"
-    )
+    for d in range(2, 11):
+        assert severi_by_templates(d, 1).rank == 3 * (d - 1) ** 2
+    assert severi_by_templates(9, 2).rank == severi_count(9, 2).rank
+    for d in range(1, 8):
+        for delta in (1, 2, 3):
+            value = severi_by_templates(d, delta)
+            expected = ref.severi_by_templates(d, delta)
+            assert gw_equal(value, expected), (d, delta)
+            assert value.rank == expected.rank
+            assert value.signature == expected.signature
 
 
 def test_poly_interpolation():

@@ -6,12 +6,14 @@ recursion memo can be persisted to a JSON cache file (``--cache`` or the
 ``{"version": 2, "entries": {"d:g:alpha:beta": [rank, signature]}}``.  A
 missing cache is never an error; an unreadable, corrupt or other-version
 file is ignored with one warning and rewritten, and entries that are not a
-valid (rank, signature) pair are dropped with a warning.
+valid (rank, signature) pair are dropped with a warning.  A cache that
+cannot be written is an error (exit status 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -86,9 +88,10 @@ def _load_cache(path: str | None) -> None:
     ch.memo_load(entries)
 
 
-def _save_cache(path: str | None) -> None:
+def _save_cache(path: str | None) -> bool:
+    """Write the memo to ``path``; False, with an error line, if that fails."""
     if not path:
-        return
+        return True
     entries = {}
     for (d, g, alpha, beta), pair in ch.memo_snapshot().items():
         name = ":".join(
@@ -97,10 +100,19 @@ def _save_cache(path: str | None) -> None:
         entries[name] = list(pair)
     data = {"version": CACHE_VERSION, "entries": entries}
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(data, handle, sort_keys=True)
-    os.replace(tmp, path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        with os.fdopen(fd, "w") as handle:
+            json.dump(data, handle, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        print(f"error: cannot write cache {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _emit_result(args, rows: list[dict]) -> None:
@@ -329,8 +341,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _save_cache(path)
-    return code
+    return code if _save_cache(path) else 2
 
 
 if __name__ == "__main__":

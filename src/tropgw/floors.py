@@ -7,6 +7,16 @@ floor ends up with divergence k), and totally orders all vertices
 compatibly.  Markings are counted up to isomorphisms fixing the floors, so
 parallel strands of identical weight are interchangeable.
 
+One enumerator serves every degree.  A diagram is fixed by its flow
+profile, the weight c_p crossing the gap after floor p (set by where the
+ends attach), and its non-short edges, every edge other than a weight-1
+edge p -> p+1; the short edges fill each gap up to c_p.  With cap_p the
+most flow gap p can carry, #edges = sum(c_p) - sum over non-short edges
+of ((j - i)*w - 1), so the budget S = sum(cap_p) - (a + g - 1) splits into
+the shortfall sum(cap_p - c_p) plus the non-short costs.  Both parts are
+non-negative, and for plane curves S is the number of nodes.  Only
+diagrams with an end attachment are built, so every one has a marking.
+
 The curve counted by a marked diagram has one trivalent vertex per
 floor/edge incidence, and the dual triangle of that vertex has area equal
 to the edge weight.  Its quadratic-form multiplicity is therefore the
@@ -26,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .ch import weighted_partitions, max_genus
+from .ch import max_genus
 from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]  # (source floor, target floor, weight), source < target
@@ -200,17 +210,16 @@ def count_markings(diagram: FloorDiagram, w_left, w_right, free=()) -> int:
     return total
 
 
-def _free_line_multisets(w_left, w_right):
-    """Multisets of weights usable as horizontal line components."""
-    shared = Counter(w_left) & Counter(w_right)
-    weights = sorted(shared)
+def _sub_multisets(weights):
+    """Every sub-multiset of ``weights``, as sorted tuples."""
+    counts = sorted(Counter(weights).items())
 
     def rec(idx: int, acc: tuple[int, ...]):
-        if idx == len(weights):
+        if idx == len(counts):
             yield acc
             return
-        w = weights[idx]
-        for count in range(shared[w] + 1):
+        w, m = counts[idx]
+        for count in range(m + 1):
             yield from rec(idx + 1, acc + (w,) * count)
 
     yield from rec(0, ())
@@ -225,81 +234,78 @@ def _remove_weights(weights, removed) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _outgoing_multisets(v: int, a: int, max_total: int, max_count: int):
-    """Multisets of (target, weight) edges leaving floor v, bounded total."""
-    targets = range(v + 1, a + 1)
-
-    def rec(min_item, total_left: int, count_left: int):
-        yield ()
-        if count_left == 0:
-            return
-        for j in targets:
-            for w in range(1, total_left + 1):
-                if (j, w) < min_item:
-                    continue
-                for rest in rec((j, w), total_left - w, count_left - 1):
-                    yield ((j, w),) + rest
-
-    yield from rec((0, 0), max_total, max_count)
-
-
 def enumerate_diagrams(
-    k: int,
-    a: int,
-    g: int,
-    connected: bool = False,
-    div_slack: int = 0,
-    left_total: int | None = None,
-):
-    """All floor diagrams on a floors with #edges = a + g - 1.
+    k: int, a: int, g: int, w_left, w_right, connected: bool = False
+) -> list[FloorDiagram]:
+    """All floor diagrams on a floors with a + g - 1 edges and an end attachment.
 
-    Divergence is capped by k plus ``div_slack`` (the total right-end
-    weight: right ends lower the divergence during marking).  The total
-    weight crossing the gap after floor p is capped by the flow bounds
-    left_total - p*k and (a-p)*k + div_slack, which keeps the enumeration
-    finite and sharp.
+    Pass 1 attaches ends floor by floor and collects the distinct flow
+    profiles c_p, the weight crossing gap p; pass 2 adds, floor by floor,
+    outgoing edges carrying exactly the flow each gap still lacks.  The
+    budget S = sum(cap_p) - (a + g - 1) pays both the shortfall
+    sum(cap_p - c_p) and the costs (j - i)*w - 1 of the non-short edges,
+    and a diagram has a + g - 1 edges exactly when nothing of S is left.
     """
-    n_edges = a + g - 1
-    if n_edges < 0:
+    w_left, w_right = tuple(w_left), tuple(w_right)
+    if sum(w_left) != a * k + sum(w_right):
+        raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
+    caps = [min(sum(w_left) - p * k, (a - p) * k + sum(w_right)) for p in range(a)]
+    budget = sum(caps[1:]) - (a + g - 1)
+    if a + g - 1 < 0 or budget < 0:
         return []
-    if left_total is None:
-        left_total = a * k + div_slack
-    caps = [
-        min(left_total - p * k, (a - p) * k + div_slack) for p in range(a + 1)
-    ]
-    out = []
+    profiles = set()
 
-    def rec(v: int, in_weights: list[int], crossing: int, edges: list[Edge], left: int):
+    def attach(v: int, rest_l, rest_r, profile: tuple[int, ...], spare: int):
+        # floor v takes some remaining ends; floor a takes all that are left
         if v == a:
-            if left == 0 and in_weights[a] <= k + div_slack:
+            profiles.add(profile)
+            return
+        for left in _sub_multisets(rest_l):
+            for right in _sub_multisets(rest_r):
+                c = profile[-1] + sum(left) - sum(right) - k
+                if 0 <= c <= caps[v] and caps[v] - c <= spare:
+                    attach(
+                        v + 1,
+                        _remove_weights(rest_l, left),
+                        _remove_weights(rest_r, right),
+                        profile + (c,),
+                        spare - caps[v] + c,
+                    )
+
+    attach(1, w_left, w_right, (0,), budget)
+    diagrams = []
+    for profile in sorted(profiles):
+        c, flow, edges = profile + (0,), [0] * (a + 1), []
+
+        def leave(p: int, need: int, last: tuple[int, int], spare: int, room: int):
+            # edges out of floor p, in non-increasing (weight, target) order
+            if p == a:  # every gap is full, so the edges spent the budget
                 diagram = FloorDiagram(a, k, tuple(edges))
                 if not connected or diagram.is_connected():
-                    out.append(diagram)
-            return
-        cap = caps[v] if v < len(caps) else 0
-        max_out = cap - crossing + in_weights[v]
-        if max_out < 0:
-            return
-        for outgoing in _outgoing_multisets(v, a, max_out, left):
-            out_w = sum(w for _, w in outgoing)
-            if in_weights[v] - out_w > k + div_slack:
-                continue
-            new_crossing = crossing + out_w - in_weights[v]
-            if not 0 <= new_crossing <= cap:
-                continue
-            new_in = list(in_weights)
-            for j, w in outgoing:
-                new_in[j] += w
-            rec(
-                v + 1,
-                new_in,
-                new_crossing,
-                edges + [(v, j, w) for j, w in outgoing],
-                left - len(outgoing),
-            )
+                    diagrams.append(diagram)
+                return
+            if need == 0:
+                leave(p + 1, c[p + 1] - flow[p + 1], (c[p + 1], a), spare, room)
+                return
+            if need - room > spare:  # an edge of weight w costs at least w - 1
+                return
+            for w in range(min(need, last[0], spare + 1), 0, -1):
+                if need > w * room:
+                    return
+                for j in range(p + 1, (last[1] if w == last[0] else a) + 1):
+                    cost = (j - p) * w - 1
+                    if cost > spare or (j - 1 > p and flow[j - 1] + w > c[j - 1]):
+                        break
+                    for q in range(p + 1, j):
+                        flow[q] += w
+                    edges.append((p, j, w))
+                    leave(p, need - w, (w, j), spare - cost, room - 1)
+                    edges.pop()
+                    for q in range(p + 1, j):
+                        flow[q] -= w
 
-    rec(1, [0] * (a + 1), 0, [], n_edges)
-    return out
+        leave(1, c[1], (c[1], a), sum(c) - (a + g - 1), a + g - 1)
+    return diagrams
 
 
 def floor_count(
@@ -324,27 +330,18 @@ def floor_count(
         raise ValueError("need at least one floor")
     if any(w < 1 for w in w_left + w_right):
         raise ValueError("end weights must be positive")
-    if sum(w_left) != a * k + sum(w_right):
-        raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
     rank = signature = 0
-    for free in _free_line_multisets(w_left, w_right):
+    shared = Counter(w_left) & Counter(w_right)
+    for free in _sub_multisets(shared.elements()):
         if connected and free:
             continue
         wl = _remove_weights(w_left, free)
         wr = _remove_weights(w_right, free)
-        for diagram in enumerate_diagrams(
-            k,
-            a,
-            g + len(free),
-            connected=connected,
-            div_slack=sum(wr),
-            left_total=sum(wl),
-        ):
+        for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr, connected):
             nu = count_markings(diagram, wl, wr, free)
-            if nu:
-                r, s = marked_mult(diagram, wl, wr)
-                rank += nu * r
-                signature += nu * s
+            r, s = marked_mult(diagram, wl, wr)
+            rank += nu * r
+            signature += nu * s
     return gw_from_pair((rank, signature), w_left + w_right)
 
 
@@ -353,68 +350,11 @@ def delta_floor_count(d: int, g: int, connected: bool = False) -> GWElement:
     return floor_count(1, d, (1,) * d, (), g, connected=connected)
 
 
-def _severi_diagrams(d: int, delta: int):
-    """Degree-d diagrams of cogenus delta, by their non-short content.
-
-    A diagram is determined by its non-short edges plus, for each floor
-    v >= 2, the shortfall 1 - div(v); both are bounded by the cogenus, and
-    the parallel short edges fill every gap up to its exact crossing flow.
-    """
-    candidates = [
-        (i, j, w)
-        for i in range(1, d)
-        for j in range(i + 1, d + 1)
-        for w in range(1, delta + 2)
-        if 1 <= (j - i) * w - 1 <= delta
-    ]
-
-    def nonshort_multisets(start: int, budget: int, chosen: list[Edge]):
-        yield tuple(chosen), budget
-        for idx in range(start, len(candidates)):
-            cost = (candidates[idx][1] - candidates[idx][0]) * candidates[idx][2] - 1
-            if cost <= budget:
-                chosen.append(candidates[idx])
-                yield from nonshort_multisets(idx, budget - cost, chosen)
-                chosen.pop()
-
-    for nonshort, rem in nonshort_multisets(0, delta, []):
-        for gamma in weighted_partitions(rem):
-            if len(gamma) > d - 1:
-                continue
-            deficits = [0] * (d + 1)
-            for part, count in enumerate(gamma, start=1):
-                deficits[part + 1] = count  # floor v = part + 1 lacks count
-            edges = list(nonshort)
-            feasible = True
-            for p in range(1, d):
-                crossing = sum(w for i, j, w in nonshort if i <= p < j)
-                bypass = sum(deficits[v] for v in range(p + 1, d + 1))
-                shorts = d - p - bypass - crossing
-                if shorts < 0:
-                    feasible = False
-                    break
-                edges.extend([(p, p + 1, 1)] * shorts)
-            if feasible:
-                diagram = FloorDiagram(d, 1, tuple(edges))
-                assert diagram.genus == max_genus(d) - delta
-                yield diagram
-
-
 def severi_count(d: int, delta: int, connected: bool = False) -> GWElement:
     """Count of degree-d plane curves with delta nodes, via floor diagrams."""
     if d < 1 or delta < 0:
         raise ValueError("need d >= 1 and delta >= 0")
-    rank = signature = 0
-    w_left = (1,) * d
-    for diagram in _severi_diagrams(d, delta):
-        if connected and not diagram.is_connected():
-            continue
-        nu = count_markings(diagram, w_left, ())
-        if nu:
-            r, s = marked_mult(diagram, w_left, ())
-            rank += nu * r
-            signature += nu * s
-    return gw_from_pair((rank, signature))
+    return delta_floor_count(d, max_genus(d) - delta, connected=connected)
 
 
 def hirzebruch_count(k: int, a: int, g: int, w_left, w_right) -> GWElement:

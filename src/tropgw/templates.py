@@ -277,8 +277,8 @@ def fit_node_polynomial(
     checks the fit on n_holdout further degrees, and reports the smallest
     degree from which the computed values follow the polynomials.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if delta < 0 or n_holdout < 0:
+        raise ValueError("delta and n_holdout must be nonnegative")
     if d_start is None:
         d_start = delta + 1
     degree = 2 * delta

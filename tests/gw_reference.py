@@ -10,6 +10,8 @@ markings, templates and their placements) but none of its value code.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from tropgw.ch import (
     _iter_sub_sequences,
     _seq_add,
@@ -21,9 +23,8 @@ from tropgw.ch import (
 )
 from tropgw.curves import triangle_mult
 from tropgw.floors import (
-    _free_line_multisets,
     _remove_weights,
-    _severi_diagrams,
+    _sub_multisets,
     count_markings,
     enumerate_diagrams,
 )
@@ -153,11 +154,9 @@ def marked_mult(diagram, w_left, w_right) -> GWElement:
 
 def floor_count(k, a, w_left, w_right, g) -> GWElement:
     total = ZERO
-    for free in _free_line_multisets(w_left, w_right):
+    for free in _sub_multisets((Counter(w_left) & Counter(w_right)).elements()):
         wl, wr = _remove_weights(w_left, free), _remove_weights(w_right, free)
-        for diagram in enumerate_diagrams(
-            k, a, g + len(free), div_slack=sum(wr), left_total=sum(wl)
-        ):
+        for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr):
             nu = count_markings(diagram, wl, wr, free)
             total = total + nu * marked_mult(diagram, wl, wr)
     return total
@@ -168,11 +167,7 @@ def delta_floor_count(d, g) -> GWElement:
 
 
 def severi_count(d, delta) -> GWElement:
-    total = ZERO
-    for diagram in _severi_diagrams(d, delta):
-        nu = count_markings(diagram, (1,) * d, ())
-        total = total + nu * marked_mult(diagram, (1,) * d, ())
-    return total
+    return delta_floor_count(d, max_genus(d) - delta)
 
 
 def template_mult(t) -> GWElement:

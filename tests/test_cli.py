@@ -128,6 +128,13 @@ def test_nodepoly_budget(capsys):
         main(["nodepoly", "--delta", "9"])
 
 
+def test_nodepoly_negative_holdout_is_an_error():
+    proc = run_cli_process("nodepoly", "--delta", "1", "--holdout", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_wallcheck(capsys):
     code, out = run_cli(capsys, "wallcheck", "--trials", "40", "--seed", "3")
     assert code == 0
@@ -204,3 +211,26 @@ def test_floor_count_without_floors_is_an_error(method):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def assert_cache_write_fails(cache):
+    proc = run_cli_process(
+        "--cache", str(cache), "count", "--method", "ch", "--d", "3", "--g", "0"
+    )
+    assert proc.returncode == 2
+    assert f"error: cannot write cache {cache}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
+def test_cache_in_missing_directory_is_an_error(tmp_path):
+    assert_cache_write_fails(tmp_path / "missing" / "memo.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_that_is_a_directory_is_an_error(tmp_path):
+    cache = tmp_path / "memo"
+    cache.mkdir()
+    assert_cache_write_fails(cache)
+    assert [p.name for p in tmp_path.iterdir()] == ["memo"]
+    assert list(cache.iterdir()) == []

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import prod
 
 import pytest
@@ -32,6 +32,7 @@ from tropgw.gw import (
 )
 from tropgw.lattice import delta_polygon, hirzebruch_polygon
 from tropgw.paths import count_lattice_path
+from tropgw.templates import severi_by_templates
 
 
 def brute_force_markings(diagram, w_left, w_right, free=()):
@@ -127,16 +128,71 @@ def test_floor_vertex_matches_edge_factor():
 
 
 def test_enumerate_diagrams_examples():
-    assert len(enumerate_diagrams(1, 1, 0)) == 1
-    conic = enumerate_diagrams(1, 2, 0)
+    assert len(enumerate_diagrams(1, 1, 0, (1,), ())) == 1
+    conic = enumerate_diagrams(1, 2, 0, (1, 1), ())
     assert [d.edges for d in conic] == [((1, 2, 1),)]
-    cubic = enumerate_diagrams(1, 3, 0)
+    cubic = enumerate_diagrams(1, 3, 0, (1, 1, 1), ())
     assert sorted(d.edges for d in cubic) == [
         ((1, 2, 1), (1, 3, 1)),
         ((1, 2, 1), (2, 3, 1)),
         ((1, 2, 2), (2, 3, 1)),
     ]
-    assert enumerate_diagrams(1, 2, -2) == []
+    assert enumerate_diagrams(1, 2, -2, (1, 1), ()) == []
+
+
+def brute_force_diagrams(k, a, g, w_left, w_right):
+    """Independent diagram enumeration: every multiset of a + g - 1 edges
+    of weight at most sum(w_left) - k (the most any gap can carry), kept
+    when some end attachment balances every floor."""
+    n_edges = a + g - 1
+    if n_edges < 0:
+        return set()
+    items = [
+        (i, j, w)
+        for i in range(1, a)
+        for j in range(i + 1, a + 1)
+        for w in range(1, sum(w_left) - k + 1)
+    ]
+    found = set()
+    for edges in combinations_with_replacement(items, n_edges):
+        diagram = FloorDiagram(a, k, edges)
+        if next(_attachments(diagram, w_left, w_right), None) is not None:
+            found.add(diagram)
+    return found
+
+
+DIAGRAM_ORACLE_CASES = [
+    (1, d, g, (1,) * d, ()) for d in (1, 2, 3, 4) for g in range(-2, max_genus(d) + 1)
+] + [
+    # (k, a, g, w_left, w_right) with right ends
+    (1, 2, 0, (7, 1), (5, 1)),  # criterion-9 ray 1 at t = 2
+    (1, 2, 1, (7, 1), (5, 1)),
+    (2, 3, 0, (7, 3, 1), (5,)),
+    (2, 3, 1, (7, 3, 1), (5,)),
+    (1, 3, 0, (1,) * 5, (1, 1)),
+    (1, 3, 1, (1,) * 5, (1, 1)),
+    (0, 2, 1, (3, 1), (3, 1)),
+    (0, 3, 0, (1, 2, 1), (2, 1, 1)),
+    (1, 2, 0, (3, 1), (1, 1)),
+]
+
+
+def test_enumerate_diagrams_matches_brute_force():
+    for k, a, g, wl, wr in DIAGRAM_ORACLE_CASES:
+        expected = brute_force_diagrams(k, a, g, wl, wr)
+        for connected in (False, True):
+            found = enumerate_diagrams(k, a, g, wl, wr, connected=connected)
+            assert len(set(found)) == len(found), (k, a, g, wl, wr)
+            want = {d for d in expected if not connected or d.is_connected()}
+            assert set(found) == want, (k, a, g, wl, wr, connected)
+            for diagram in found:
+                assert count_markings(diagram, wl, wr) > 0, diagram
+
+
+def test_enumerate_diagrams_sizes():
+    # a looser enumeration would still count correctly, so pin its size
+    assert len(enumerate_diagrams(1, 6, 0, (1,) * 6, ())) == 2754
+    assert len(enumerate_diagrams(2, 3, 0, (11, 7, 1), (13,))) == 54  # ray 3, t = 3
 
 
 def test_count_markings_examples():
@@ -231,7 +287,7 @@ def test_marking_size_invariant():
     # #white + #black = #ends + g - 1
     for d in (2, 3, 4):
         for g in range(0, max_genus(d) + 1):
-            for diagram in enumerate_diagrams(1, d, g):
+            for diagram in enumerate_diagrams(1, d, g, (1,) * d, ()):
                 n_black = len(diagram.edges) + d  # subdivision blacks + unit ends
                 n_ends = 2 * d + d
                 assert d + n_black == n_ends + g - 1
@@ -330,11 +386,14 @@ def test_severi_matches_recursion_at_degree_five():
     assert gw_equal(severi_count(5, max_genus(5)), ch_count(5, 0))
 
 
-def test_severi_matches_generic_floor_enumeration():
-    for d in (2, 3, 4):
-        for delta in (0, 1, 2):
+def test_severi_and_floor_counts_match_recursion_and_templates():
+    for d in range(1, 7):
+        for delta in range(4):
             g = max_genus(d) - delta
-            assert gw_equal(severi_count(d, delta), delta_floor_count(d, g))
+            expected = ch_count(d, g)
+            assert gw_equal(expected, severi_by_templates(d, delta)), (d, delta)
+            assert gw_equal(severi_count(d, delta), expected), (d, delta)
+            assert gw_equal(delta_floor_count(d, g), expected), (d, delta)
 
 
 def test_hirzebruch_count_shape():
@@ -387,7 +446,7 @@ def test_marked_mult_matches_curve_mult_on_all_small_diagrams():
         gmax = max_genus(d)
         w_left = (1,) * d
         for g in range(-1, gmax + 1):
-            for diagram in enumerate_diagrams(1, d, g):
+            for diagram in enumerate_diagrams(1, d, g, w_left, ()):
                 for left, _right in _attachments(diagram, w_left, ()):
                     sub = floor_decomposed_subdivision(diagram, left)
                     polygon = delta_polygon(d)

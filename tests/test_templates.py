@@ -199,6 +199,13 @@ def test_fit_node_polynomial_examples():
     assert fit2.threshold <= 2
 
 
+def test_fit_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        fit_node_polynomial(1, n_holdout=-1)
+    with pytest.raises(ValueError):
+        fit_node_polynomial(-1)
+
+
 def test_fit_degree_check():
     fit3 = fit_node_polynomial(3, n_holdout=3)
     assert poly_degree(fit3.hyperbolic_coeffs) == 6

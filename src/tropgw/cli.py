@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import random
 import sys
 import tempfile
+from typing import NoReturn
 
 from . import ch, floors, paths, templates
 from .curves import random_star, resolve_wall
@@ -146,19 +148,29 @@ def _result_row(args, method: str, g_or_delta, value: GWElement, d=None) -> dict
     }
 
 
+def _reject(message: str) -> NoReturn:
+    """End a command whose arguments do not fit together, as argparse does."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_count(args) -> int:
     method = args.method
     if args.d is not None and (args.k is not None or args.a is not None):
-        raise SystemExit("give either --d or the --k/--a Hirzebruch data")
+        _reject("give either --d or the --k/--a Hirzebruch data")
+    if args.d is not None and (args.wl or args.wr):
+        _reject("--wl/--wr need the --k/--a Hirzebruch data, not --d")
+    if method != "ch" and (args.alpha or args.beta):
+        _reject("--alpha/--beta are only supported by --method ch")
+    if method != "floor" and args.connected:
+        _reject("--connected is only supported by --method floor")
     if method == "ch":
         if args.d is None:
-            raise SystemExit("--method ch needs --d")
+            _reject("--method ch needs --d")
         alpha = _parse_weights(args.alpha)
         beta = _parse_weights(args.beta) if args.beta else None
         value = ch.ch_count(args.d, args.g, alpha, beta)
     elif method == "latticepath":
-        if args.alpha or args.beta:
-            raise SystemExit("--alpha/--beta are only supported by --method ch")
         if args.d is not None:
             polygon = delta_polygon(args.d)
         else:
@@ -166,24 +178,22 @@ def cmd_count(args) -> int:
             wl = _parse_weights(args.wl) or (1,) * (a * k + len(_parse_weights(args.wr)))
             wr = _parse_weights(args.wr)
             if any(w != 1 for w in wl + wr):
-                raise SystemExit(
+                _reject(
                     "the lattice path method only supports weight-1 ends; "
                     "use --method floor for higher weights"
                 )
             polygon = hirzebruch_polygon(k, a, len(wr))
         value = paths.count_lattice_path(polygon, args.g, tie_break=args.tie_break)
-    elif method == "floor":
+    else:
         if args.d is not None:
             value = floors.delta_floor_count(args.d, args.g, connected=args.connected)
         else:
             if args.k is None or args.a is None:
-                raise SystemExit("--method floor needs --d or both --k and --a")
+                _reject("--method floor needs --d or both --k and --a")
             wl, wr = _parse_weights(args.wl), _parse_weights(args.wr)
             value = floors.floor_count(
                 args.k, args.a, wl, wr, args.g, connected=args.connected
             )
-    else:
-        raise SystemExit(f"unknown method {method}")
     _emit_result(args, [_result_row(args, method, args.g, value)])
     return 0
 
@@ -231,9 +241,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_nodepoly(args) -> int:
     if args.delta > args.max_delta:
-        raise SystemExit(
-            f"delta {args.delta} above the configured budget {args.max_delta}"
-        )
+        _reject(f"delta {args.delta} above the configured budget {args.max_delta}")
     fit = templates.fit_node_polynomial(args.delta, n_holdout=args.holdout)
     if args.format == "json":
         print(
@@ -335,6 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     path = _cache_path(args)
+    if path and os.path.isdir(path):
+        print(
+            f"error: cannot write cache {path}: {os.strerror(errno.EISDIR)}",
+            file=sys.stderr,
+        )
+        return 2
     _load_cache(path)
     try:
         code = args.func(args)

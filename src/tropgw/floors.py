@@ -17,6 +17,12 @@ the shortfall sum(cap_p - c_p) plus the non-short costs.  Both parts are
 non-negative, and for plane curves S is the number of nodes.  Only
 diagrams with an end attachment are built, so every one has a marking.
 
+One walker attaches the ends, floor by floor, for both the enumerator and
+the marking count.  The enumerator keeps the flow profiles whose shortfall
+fits S; the marking count caps every gap at the diagram's own flow with no
+shortfall allowed, which leaves exactly the attachments that give every
+floor divergence k, and counts the vertex orders of each.
+
 The curve counted by a marked diagram has one trivalent vertex per
 floor/edge incidence, and the dual triangle of that vertex has area equal
 to the edge weight.  Its quadratic-form multiplicity is therefore the
@@ -34,7 +40,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from itertools import product
+from math import comb
 
 from .ch import max_genus
 from .gw import GWElement, gw_from_pair
@@ -121,70 +128,68 @@ def count_interleavings(num_gaps: int, classes) -> int:
 
     ``classes`` lists (lo, hi, count): each class puts ``count`` identical
     items somewhere in gaps lo..hi.  Items in one gap can be permuted
-    arbitrarily, so each distribution contributes the product over gaps of
-    multinomial coefficients.
+    arbitrarily, so putting c more items of a class into a gap that holds
+    ``load`` items multiplies the number of orderings by C(load + c, c).
     """
     classes = [c for c in classes if c[2] > 0]
+    loads = [0] * num_gaps
 
-    def rec(idx: int, loads: tuple[tuple[int, ...], ...]) -> int:
+    def rec(idx: int) -> int:
         if idx == len(classes):
-            value = 1
-            for gap_loads in loads:
-                n = sum(gap_loads)
-                m = factorial(n)
-                for c in gap_loads:
-                    m //= factorial(c)
-                value *= m
-            return value
+            return 1
         lo, hi, count = classes[idx]
         total = 0
         for comp in _compositions(count, hi - lo + 1):
-            new_loads = tuple(
-                loads[g] + ((comp[g - lo],) if lo <= g <= hi else ())
-                for g in range(num_gaps)
-            )
-            total += rec(idx + 1, new_loads)
+            ways = 1
+            for gap, c in enumerate(comp, lo):
+                ways *= comb(loads[gap] + c, c)
+                loads[gap] += c
+            total += ways * rec(idx + 1)
+            for gap, c in enumerate(comp, lo):
+                loads[gap] -= c
         return total
 
-    return rec(0, tuple(() for _ in range(num_gaps)))
+    return rec(0)
 
 
-def _distributions(weights, floors: int):
-    """Multiset assignments of the given weights to floors 1..floors."""
-    groups = sorted(Counter(weights).items())
+def _attachments(k: int, a: int, w_left, w_right, caps, spare: int):
+    """End attachments, floor by floor, with the flow profile they give.
 
-    def rec(gi: int, acc: tuple[tuple[int, ...], ...]):
-        if gi == len(groups):
-            yield acc
+    Yields (profile, lefts, rights): profile[p] is the weight c_p crossing
+    the gap after floor p (profile[0] = 0), and lefts[v] and rights[v]
+    count the left and right ends of each distinct weight, in increasing
+    order, attached to floor v+1.  Every c_p satisfies 0 <= c_p <= caps[p],
+    the shortfall sum(caps[p] - c_p) stays within ``spare``, and floor a
+    takes the ends that are left.  With spare 0 every c_p is caps[p].
+    """
+    n_left, n_right = Counter(w_left), Counter(w_right)
+    l_weights, r_weights = sorted(n_left), sorted(n_right)
+
+    def walk(v: int, rest_l, rest_r, profile, lefts, rights, spare: int):
+        if v == a:
+            yield profile, lefts + (rest_l,), rights + (rest_r,)
             return
-        w, count = groups[gi]
-        for comp in _compositions(count, floors):
-            yield from rec(
-                gi + 1,
-                tuple(acc[v] + (w,) * comp[v] for v in range(floors)),
-            )
+        lo = max(0, caps[v] - spare)
+        for left in product(*(range(m + 1) for m in rest_l)):
+            gain = profile[-1] - k + sum(w * n for w, n in zip(l_weights, left))
+            if gain < lo:
+                continue
+            for right in product(*(range(m + 1) for m in rest_r)):
+                c = gain - sum(w * n for w, n in zip(r_weights, right))
+                if lo <= c <= caps[v]:
+                    yield from walk(
+                        v + 1,
+                        tuple(m - n for m, n in zip(rest_l, left)),
+                        tuple(m - n for m, n in zip(rest_r, right)),
+                        profile + (c,),
+                        lefts + (left,),
+                        rights + (right,),
+                        spare - caps[v] + c,
+                    )
 
-    empty = tuple(() for _ in range(floors))
-    yield from rec(0, empty)
-
-
-def _attachments(diagram: FloorDiagram, w_left, w_right):
-    """End attachments making every floor's divergence equal to k."""
-    a, k = diagram.floors, diagram.k
-    needs = [k - diagram.div(v) for v in range(1, a + 1)]
-    w_left, w_right = tuple(w_left), tuple(w_right)
-    if not w_right and set(w_left) <= {1}:
-        # unit left ends only: the assignment is forced
-        if all(n >= 0 for n in needs) and sum(needs) == len(w_left):
-            yield tuple((1,) * n for n in needs), tuple(() for _ in needs)
-        return
-    for left in _distributions(w_left, a):
-        rights_needed = [sum(left[v]) - needs[v] for v in range(a)]
-        if any(r < 0 for r in rights_needed) or sum(rights_needed) != sum(w_right):
-            continue
-        for right in _distributions(w_right, a):
-            if all(sum(right[v]) == rights_needed[v] for v in range(a)):
-                yield left, right
+    l_counts = tuple(n_left[w] for w in l_weights)
+    r_counts = tuple(n_right[w] for w in r_weights)
+    yield from walk(1, l_counts, r_counts, (0,), (), (), spare)
 
 
 def count_markings(diagram: FloorDiagram, w_left, w_right, free=()) -> int:
@@ -196,42 +201,20 @@ def count_markings(diagram: FloorDiagram, w_left, w_right, free=()) -> int:
     a = diagram.floors
     if sum(w_left) != a * diagram.k + sum(w_right):
         raise ValueError("weights do not match the diagram degree")
+    flows = [0] * a  # flows[p]: the diagram's weight across the gap after floor p
+    for i, j, w in diagram.edges:
+        for p in range(i, j):
+            flows[p] += w
+    fixed = [(i, j - 1, m) for (i, j, w), m in Counter(diagram.edges).items()]
+    fixed += [(0, a, m) for m in Counter(free).values()]
     total = 0
-    for left, right in _attachments(diagram, w_left, w_right):
-        classes = [(i, j - 1, m) for (i, j, w), m in Counter(diagram.edges).items()]
-        for v in range(a):
-            for w, m in Counter(left[v]).items():
-                classes.append((0, v, m))  # black end vertex before floor v+1
-            for w, m in Counter(right[v]).items():
-                classes.append((v + 1, a, m))  # black end vertex after floor v+1
-        for w, m in Counter(free).items():
-            classes.append((0, a, m))
+    for _, lefts, rights in _attachments(diagram.k, a, w_left, w_right, flows, 0):
+        classes = list(fixed)
+        for v in range(a):  # black end vertices before / after floor v+1
+            classes += [(0, v, m) for m in lefts[v]]
+            classes += [(v + 1, a, m) for m in rights[v]]
         total += count_interleavings(a + 1, classes)
     return total
-
-
-def _sub_multisets(weights):
-    """Every sub-multiset of ``weights``, as sorted tuples."""
-    counts = sorted(Counter(weights).items())
-
-    def rec(idx: int, acc: tuple[int, ...]):
-        if idx == len(counts):
-            yield acc
-            return
-        w, m = counts[idx]
-        for count in range(m + 1):
-            yield from rec(idx + 1, acc + (w,) * count)
-
-    yield from rec(0, ())
-
-
-def _remove_weights(weights, removed) -> tuple[int, ...]:
-    c = Counter(weights)
-    c.subtract(Counter(removed))
-    out = []
-    for w, m in sorted(c.items()):
-        out.extend([w] * m)
-    return tuple(out)
 
 
 def enumerate_diagrams(
@@ -253,26 +236,7 @@ def enumerate_diagrams(
     budget = sum(caps[1:]) - (a + g - 1)
     if a + g - 1 < 0 or budget < 0:
         return []
-    profiles = set()
-
-    def attach(v: int, rest_l, rest_r, profile: tuple[int, ...], spare: int):
-        # floor v takes some remaining ends; floor a takes all that are left
-        if v == a:
-            profiles.add(profile)
-            return
-        for left in _sub_multisets(rest_l):
-            for right in _sub_multisets(rest_r):
-                c = profile[-1] + sum(left) - sum(right) - k
-                if 0 <= c <= caps[v] and caps[v] - c <= spare:
-                    attach(
-                        v + 1,
-                        _remove_weights(rest_l, left),
-                        _remove_weights(rest_r, right),
-                        profile + (c,),
-                        spare - caps[v] + c,
-                    )
-
-    attach(1, w_left, w_right, (0,), budget)
+    profiles = {p for p, _, _ in _attachments(k, a, w_left, w_right, caps, budget)}
     diagrams = []
     for profile in sorted(profiles):
         c, flow, edges = profile + (0,), [0] * (a + 1), []
@@ -331,12 +295,15 @@ def floor_count(
     if any(w < 1 for w in w_left + w_right):
         raise ValueError("end weights must be positive")
     rank = signature = 0
-    shared = Counter(w_left) & Counter(w_right)
-    for free in _sub_multisets(shared.elements()):
-        if connected and free:
+    n_left, n_right = Counter(w_left), Counter(w_right)
+    shared = n_left & n_right
+    for lines in product(*(range(m + 1) for m in shared.values())):
+        if connected and any(lines):
             continue
-        wl = _remove_weights(w_left, free)
-        wr = _remove_weights(w_right, free)
+        n_free = Counter(dict(zip(shared, lines)))
+        wl = tuple((n_left - n_free).elements())
+        wr = tuple((n_right - n_free).elements())
+        free = tuple(n_free.elements())
         for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr, connected):
             nu = count_markings(diagram, wl, wr, free)
             r, s = marked_mult(diagram, wl, wr)

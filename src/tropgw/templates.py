@@ -55,10 +55,6 @@ class Template:
         return sum((j - i) * w - 1 for i, j, w in self.edges)
 
 
-def template_cogenus(t: Template) -> int:
-    return t.cogenus
-
-
 def enumerate_templates(delta: int) -> tuple[Template, ...]:
     """All templates of cogenus between 1 and delta.
 

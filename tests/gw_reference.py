@@ -11,6 +11,7 @@ markings, templates and their placements) but none of its value code.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from tropgw.ch import (
     _iter_sub_sequences,
@@ -22,12 +23,7 @@ from tropgw.ch import (
     weighted_partitions,
 )
 from tropgw.curves import triangle_mult
-from tropgw.floors import (
-    _remove_weights,
-    _sub_multisets,
-    count_markings,
-    enumerate_diagrams,
-)
+from tropgw.floors import count_markings, enumerate_diagrams
 from tropgw.gw import ONE, ZERO, GWElement
 from tropgw.lattice import interior_points, lattice_length, normalized_area
 from tropgw.paths import (
@@ -152,10 +148,16 @@ def marked_mult(diagram, w_left, w_right) -> GWElement:
     return product(bounded + bounded + ends)
 
 
+def _without(weights, removed) -> tuple[int, ...]:
+    return tuple((Counter(weights) - Counter(removed)).elements())
+
+
 def floor_count(k, a, w_left, w_right, g) -> GWElement:
     total = ZERO
-    for free in _sub_multisets((Counter(w_left) & Counter(w_right)).elements()):
-        wl, wr = _remove_weights(w_left, free), _remove_weights(w_right, free)
+    shared = sorted((Counter(w_left) & Counter(w_right)).elements())
+    lines = {c for n in range(len(shared) + 1) for c in combinations(shared, n)}
+    for free in lines:  # the weights of the bare horizontal line components
+        wl, wr = _without(w_left, free), _without(w_right, free)
         for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr):
             nu = count_markings(diagram, wl, wr, free)
             total = total + nu * marked_mult(diagram, wl, wr)

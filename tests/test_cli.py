@@ -83,6 +83,57 @@ def test_count_rejects_weighted_latticepath(capsys):
         )
 
 
+def assert_argument_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # flags the chosen method or degree would silently ignore
+        ("--method ch --d 4 --g 0 --connected",
+         "--connected is only supported by --method floor"),
+        ("--method latticepath --d 3 --g 0 --connected",
+         "--connected is only supported by --method floor"),
+        ("--method floor --d 3 --g 0 --alpha 1",
+         "--alpha/--beta are only supported by --method ch"),
+        ("--method floor --k 1 --a 2 --wl 1,1 --g 0 --beta 1",
+         "--alpha/--beta are only supported by --method ch"),
+        ("--method floor --d 3 --g 0 --wl 1,1,1",
+         "--wl/--wr need the --k/--a Hirzebruch data, not --d"),
+        ("--method ch --d 3 --g 0 --wr 1",
+         "--wl/--wr need the --k/--a Hirzebruch data, not --d"),
+        ("--method latticepath --d 3 --g 0 --wl 1,1,1",
+         "--wl/--wr need the --k/--a Hirzebruch data, not --d"),
+        # the other argument errors
+        ("--method ch --d 3 --k 1 --g 0",
+         "give either --d or the --k/--a Hirzebruch data"),
+        ("--method ch --g 0", "--method ch needs --d"),
+        ("--method floor --k 1 --g 0", "--method floor needs --d or both --k and --a"),
+        ("--method latticepath --k 1 --a 2 --wl 3,1 --g 0",
+         "the lattice path method only supports weight-1 ends; "
+         "use --method floor for higher weights"),
+    ],
+)
+def test_count_argument_errors_exit_2(capsys, argv, message):
+    assert_argument_error(capsys, ["count", *argv.split()], message)
+
+
+def test_count_connected_with_recursion_is_an_error():
+    # the recursion counts disconnected curves too (rank 675, not 620)
+    proc = run_cli_process(
+        "count", "--method", "ch", "--d", "4", "--g", "0", "--connected"
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --connected is only supported by --method floor\n"
+
+
 def test_count_invalid_genus_exits_nonzero(capsys):
     code = main(["count", "--method", "latticepath", "--d", "2", "--g", "5"])
     assert code == 2
@@ -126,6 +177,7 @@ def test_nodepoly(capsys):
 def test_nodepoly_budget(capsys):
     with pytest.raises(SystemExit):
         main(["nodepoly", "--delta", "9"])
+    assert capsys.readouterr().err == "error: delta 9 above the configured budget 4\n"
 
 
 def test_nodepoly_negative_holdout_is_an_error():
@@ -231,6 +283,9 @@ def test_cache_in_missing_directory_is_an_error(tmp_path):
 def test_cache_that_is_a_directory_is_an_error(tmp_path):
     cache = tmp_path / "memo"
     cache.mkdir()
-    assert_cache_write_fails(cache)
+    proc = assert_cache_write_fails(cache)
+    # rejected before the count runs: no warning, no result
+    assert proc.stderr == f"error: cannot write cache {cache}: Is a directory\n"
+    assert proc.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["memo"]
     assert list(cache.iterdir()) == []

@@ -1,4 +1,5 @@
-from itertools import combinations_with_replacement, permutations
+import random
+from itertools import combinations_with_replacement, permutations, product
 from math import prod
 
 import pytest
@@ -11,7 +12,6 @@ from tropgw.ch import ch_count, max_genus
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.floors import (
     FloorDiagram,
-    _attachments,
     count_interleavings,
     count_markings,
     delta_floor_count,
@@ -35,12 +35,38 @@ from tropgw.paths import count_lattice_path
 from tropgw.templates import severi_by_templates
 
 
+def brute_force_attachments(a, w_left, w_right):
+    """Every way to attach the ends to floors 1..a, balanced or not: each
+    end goes to any floor, and ends of equal weight are interchangeable, so
+    an attachment is a pair of per-floor sorted weight tuples."""
+    found = set()
+    n_left = len(w_left)
+    for floors in product(range(a), repeat=n_left + len(w_right)):
+        ends = list(zip(floors, tuple(w_left) + tuple(w_right)))
+        found.add(tuple(
+            tuple(tuple(sorted(w for f, w in part if f == v)) for v in range(a))
+            for part in (ends[:n_left], ends[n_left:])
+        ))
+    return found
+
+
+def balanced_attachments(diagram, w_left, w_right):
+    """The attachments that give every floor divergence k."""
+    a = diagram.floors
+    needs = [diagram.k - diagram.div(v) for v in range(1, a + 1)]
+    return [
+        (left, right)
+        for left, right in sorted(brute_force_attachments(a, w_left, w_right))
+        if [sum(lw) - sum(rw) for lw, rw in zip(left, right)] == needs
+    ]
+
+
 def brute_force_markings(diagram, w_left, w_right, free=()):
     """Independent marking count: enumerate labeled orders and gap choices,
     then deduplicate by the class-id sequence (= isomorphism class)."""
     a = diagram.floors
     total = 0
-    for left, right in _attachments(diagram, w_left, w_right):
+    for left, right in balanced_attachments(diagram, w_left, w_right):
         items = []
         for i, j, w in diagram.edges:
             items.append((("edge", i, j, w), i, j - 1))
@@ -153,10 +179,14 @@ def brute_force_diagrams(k, a, g, w_left, w_right):
         for j in range(i + 1, a + 1)
         for w in range(1, sum(w_left) - k + 1)
     ]
+    balancing = {  # per-floor k - div(v) that some attachment supplies
+        tuple(sum(lw) - sum(rw) for lw, rw in zip(left, right))
+        for left, right in brute_force_attachments(a, w_left, w_right)
+    }
     found = set()
     for edges in combinations_with_replacement(items, n_edges):
         diagram = FloorDiagram(a, k, edges)
-        if next(_attachments(diagram, w_left, w_right), None) is not None:
+        if tuple(k - diagram.div(v) for v in range(1, a + 1)) in balancing:
             found.add(diagram)
     return found
 
@@ -225,8 +255,6 @@ def test_count_markings_against_brute_force():
 
 
 def test_count_markings_against_brute_force_randomized():
-    import random
-
     rng = random.Random(424)
     checked = 0
     while checked < 30:
@@ -281,6 +309,38 @@ def test_count_interleavings_basics():
     assert count_interleavings(1, [(0, 0, 1), (0, 0, 1)]) == 2
     # one item over two gaps
     assert count_interleavings(2, [(0, 1, 1)]) == 2
+
+
+def brute_force_interleavings(num_gaps, classes):
+    """Distinct words over class labels and gap separators in which every
+    letter of a class lies in one of the class's gaps."""
+    letters = [idx for idx, (_, _, count) in enumerate(classes) for _ in range(count)]
+    letters += [None] * (num_gaps - 1)  # None separates consecutive gaps
+    found = 0
+    for word in set(permutations(letters)):
+        gap = 0
+        for letter in word:
+            if letter is None:
+                gap += 1
+            elif not classes[letter][0] <= gap <= classes[letter][1]:
+                break
+        else:
+            found += 1
+    return found
+
+
+def test_count_interleavings_against_brute_force():
+    rng = random.Random(7)
+    for _ in range(60):
+        num_gaps = rng.randint(1, 4)
+        classes = []
+        for _ in range(rng.randint(1, 4)):
+            lo = rng.randrange(num_gaps)
+            classes.append((lo, rng.randint(lo, num_gaps - 1), rng.randint(0, 3)))
+        while sum(count for _, _, count in classes) > 6:
+            classes.pop()
+        expected = brute_force_interleavings(num_gaps, classes)
+        assert count_interleavings(num_gaps, classes) == expected, (num_gaps, classes)
 
 
 def test_marking_size_invariant():
@@ -447,7 +507,7 @@ def test_marked_mult_matches_curve_mult_on_all_small_diagrams():
         w_left = (1,) * d
         for g in range(-1, gmax + 1):
             for diagram in enumerate_diagrams(1, d, g, w_left, ()):
-                for left, _right in _attachments(diagram, w_left, ()):
+                for left, _right in balanced_attachments(diagram, w_left, ()):
                     sub = floor_decomposed_subdivision(diagram, left)
                     polygon = delta_polygon(d)
                     assert sub.piece_area2() == polygon.area2
@@ -469,7 +529,7 @@ def test_marked_mult_matches_curve_mult_with_heavier_edges():
     ]
     for diagram in cases:
         w_left = (1,) * 4
-        for left, _right in _attachments(diagram, w_left, ()):
+        for left, _right in balanced_attachments(diagram, w_left, ()):
             sub = floor_decomposed_subdivision(diagram, left)
             polygon = delta_polygon(4)
             assert sub.piece_area2() == polygon.area2

@@ -15,27 +15,41 @@ Genus bookkeeping allows negative g (counts of disconnected curves), so
 the base case is the single line: degree 1 counts <1> at genus 0 and
 nothing otherwise.  ``ch_count`` returns p*H + q*<+-I^beta>.
 
+Sequences are checked once, where they enter: in ``ch_count`` (``trim``
+and ``check_key``) and in the CLI's cache loader (``check_key``).  A canonical
+sequence has no negative entry and no trailing zero; the recursion
+receives canonical tuples and builds only canonical tuples, so every memo
+key is canonical.
+
 The memo table is an associative cache: every insertion for a key writes
 the same value, so concurrent evaluation and cache merging are safe.
 """
 
 from __future__ import annotations
 
+from itertools import count, product, zip_longest
 from math import comb, prod
+from operator import mul
 
 from .gw import GWElement, gw_from_pair
 
 Sequence = tuple[int, ...]
 
 
-def trim(seq) -> Sequence:
-    """Canonical form: drop trailing zeros."""
-    seq = tuple(int(n) for n in seq)
-    if any(n < 0 for n in seq):
-        raise ValueError("sequence entries must be nonnegative")
+def _strip(seq) -> Sequence:
+    """Drop trailing zeros; checks nothing."""
+    seq = tuple(seq)
     while seq and seq[-1] == 0:
         seq = seq[:-1]
     return seq
+
+
+def trim(seq) -> Sequence:
+    """Canonical form: check that no entry is negative, drop trailing zeros."""
+    seq = tuple(int(n) for n in seq)
+    if any(n < 0 for n in seq):
+        raise ValueError("sequence entries must be nonnegative")
+    return _strip(seq)
 
 
 def seq_stats(a) -> tuple[int, int, int]:
@@ -43,8 +57,8 @@ def seq_stats(a) -> tuple[int, int, int]:
     a = trim(a)
     size = sum(a)
     weighted = sum((i + 1) * n for i, n in enumerate(a))
-    product = prod((i + 1) ** n for i, n in enumerate(a))
-    return size, weighted, product
+    power = prod((i + 1) ** n for i, n in enumerate(a))
+    return size, weighted, power
 
 
 def seq_binom(a, b) -> int:
@@ -58,7 +72,7 @@ def seq_binom(a, b) -> int:
 def _seq_add(a: Sequence, k: int, delta: int) -> Sequence:
     lst = list(a) + [0] * max(0, k - len(a))
     lst[k - 1] += delta
-    return trim(lst)
+    return _strip(lst)
 
 
 def weighted_partitions(total: int):
@@ -79,30 +93,23 @@ def weighted_partitions(total: int):
     yield from rec(total, total)
 
 
-def _iter_sub_sequences(a: Sequence):
-    """All sequences a' <= a, entrywise."""
-    if not a:
-        yield ()
-        return
-    ranges = [range(n + 1) for n in a]
-
-    def rec(i):
-        if i == len(ranges):
-            yield []
-            return
-        for v in ranges[i]:
-            for rest in rec(i + 1):
-                yield [v] + rest
-
-    for choice in rec(0):
-        yield trim(choice)
-
-
 _memo: dict = {}
 
 
 def max_genus(d: int) -> int:
     return (d - 1) * (d - 2) // 2
+
+
+def check_key(d: int, alpha: Sequence, beta: Sequence) -> None:
+    """ValueError unless d >= 1, alpha and beta are canonical tuples and
+    I(alpha) + I(beta) = d."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    if min(alpha + beta, default=0) < 0 or 0 in alpha[-1:] + beta[-1:]:
+        raise ValueError(f"{alpha}, {beta}: a negative entry or a trailing zero")
+    weight = sum(map(mul, alpha, count(1))) + sum(map(mul, beta, count(1)))
+    if weight != d:
+        raise ValueError(f"I(alpha) + I(beta) = {weight} != d = {d}")
 
 
 def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
@@ -111,14 +118,9 @@ def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
     ``alpha`` lists prescribed-position left ends by weight, ``beta`` free
     left ends by weight; ``beta`` defaults to d ends of weight one.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
     alpha = trim(alpha)
     beta = trim(beta) if beta is not None else (d,)
-    _, ia, _ = seq_stats(alpha)
-    _, ib, _ = seq_stats(beta)
-    if ia + ib != d:
-        raise ValueError(f"I(alpha) + I(beta) = {ia + ib} != d = {d}")
+    check_key(d, alpha, beta)
     free_weights = [w for w, n in enumerate(beta, start=1) for _ in range(n)]
     return gw_from_pair(_ch(d, g, alpha, beta), free_weights)
 
@@ -140,27 +142,21 @@ def _ch(d: int, g: int, alpha: Sequence, beta: Sequence) -> tuple[int, int]:
             r, s = _ch(d, g, _seq_add(alpha, k, 1), _seq_add(beta, k, -1))
             rank += k * r
             signature += (k % 2) * s
-    for alpha_p in _iter_sub_sequences(alpha):
-        _, ia_p, _ = seq_stats(alpha_p)
-        target = d - 1 - ia_p - seq_stats(beta)[1]
+    ib = sum(map(mul, beta, count(1)))
+    for alpha_p in product(*(range(n + 1) for n in alpha)):
+        target = d - 1 - ib - sum(map(mul, alpha_p, count(1)))
         if target < 0:
             continue
+        binom_alpha = prod(map(comb, alpha, alpha_p))
+        alpha_p = _strip(alpha_p)
         for gamma in weighted_partitions(target):
-            beta_p = trim(
-                tuple(
-                    (beta[i] if i < len(beta) else 0)
-                    + (gamma[i] if i < len(gamma) else 0)
-                    for i in range(max(len(beta), len(gamma)))
-                )
-            )
-            size_gamma, _, prod_gamma = seq_stats(gamma)
-            g_p = g - size_gamma + 1
+            size_gamma = sum(gamma)
             if size_gamma - 1 > d - 2:
                 continue
-            coeff = seq_binom(alpha, alpha_p) * seq_binom(beta_p, beta)
-            if coeff == 0:
-                continue
-            r, s = _ch(d - 1, g_p, alpha_p, beta_p)
+            beta_p = tuple(map(sum, zip_longest(beta, gamma, fillvalue=0)))
+            prod_gamma = prod(k**n for k, n in enumerate(gamma, start=1))
+            coeff = binom_alpha * prod(map(comb, beta_p, beta))
+            r, s = _ch(d - 1, g - size_gamma + 1, alpha_p, beta_p)
             rank += coeff * prod_gamma * r
             signature += coeff * (prod_gamma % 2) * s
     value = (rank, signature)

@@ -6,7 +6,9 @@ recursion memo can be persisted to a JSON cache file (``--cache`` or the
 ``{"version": 2, "entries": {"d:g:alpha:beta": [rank, signature]}}``.  A
 missing cache is never an error; an unreadable, corrupt or other-version
 file is ignored with one warning and rewritten, and entries that are not a
-valid (rank, signature) pair are dropped with a warning.  A cache that
+valid (rank, signature) pair, or whose key the recursion can never look up
+(a negative entry or trailing zero in alpha or beta, d < 1, or
+I(alpha) + I(beta) != d), are dropped with a warning.  A cache that
 cannot be written is an error (exit status 2).
 """
 
@@ -34,7 +36,7 @@ CACHE_VERSION = 2
 def _parse_weights(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(map(int, text.split(",")))
 
 
 def _cache_path(args) -> str | None:
@@ -46,15 +48,17 @@ def _warn(message: str) -> None:
 
 
 def _cache_entry(name: str, value) -> tuple[tuple, tuple[int, int]]:
-    """Parse one cache entry; ValueError unless it is a valid rank/signature pair."""
+    """Parse one cache entry; ValueError unless the recursion can look its key
+    up and its value is a valid rank/signature pair."""
     d, g, alpha, beta = name.split(":")
-    key = (int(d), int(g), _parse_weights(alpha), _parse_weights(beta))
+    d, g, alpha, beta = int(d), int(g), _parse_weights(alpha), _parse_weights(beta)
+    ch.check_key(d, alpha, beta)
     if not isinstance(value, list) or [type(x) for x in value] != [int, int]:
         raise ValueError(f"{value!r} is not a [rank, signature] pair of integers")
     rank, signature = value
     if (rank - signature) % 2 or abs(signature) > rank:
         raise ValueError(f"no form has rank {rank} and signature {signature}")
-    return key, (rank, signature)
+    return (d, g, alpha, beta), (rank, signature)
 
 
 def _load_cache(path: str | None) -> None:
@@ -106,7 +110,7 @@ def _save_cache(path: str | None) -> bool:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            json.dump(data, handle, sort_keys=True)
+            handle.write(json.dumps(data, sort_keys=True))
         os.replace(tmp, path)
     except OSError as exc:
         if tmp is not None:
@@ -164,6 +168,8 @@ def cmd_count(args) -> int:
         _reject("--alpha/--beta are only supported by --method ch")
     if method != "floor" and args.connected:
         _reject("--connected is only supported by --method floor")
+    if method != "latticepath" and args.tie_break is not None:
+        _reject("--tie-break is only supported by --method latticepath")
     if method == "ch":
         if args.d is None:
             _reject("--method ch needs --d")
@@ -183,7 +189,8 @@ def cmd_count(args) -> int:
                     "use --method floor for higher weights"
                 )
             polygon = hirzebruch_polygon(k, a, len(wr))
-        value = paths.count_lattice_path(polygon, args.g, tie_break=args.tie_break)
+        tie_break = args.tie_break or "ydesc"
+        value = paths.count_lattice_path(polygon, args.g, tie_break=tie_break)
     else:
         if args.d is not None:
             value = floors.delta_floor_count(args.d, args.g, connected=args.connected)
@@ -223,9 +230,14 @@ def cmd_crosscheck(args) -> int:
             if not ok:
                 failures += 1
                 for method, value in values.items():
+                    off = (
+                        f"; vs latticepath: rank {value.rank - base.rank}, "
+                        f"signature {value.signature - base.signature}"
+                        if method != "latticepath" else ""
+                    )
                     lines.append(
                         f"  {method}: {render(value)} "
-                        f"(rank {value.rank}, signature {value.signature})"
+                        f"(rank {value.rank}, signature {value.signature}{off})"
                     )
             for method, value in values.items():
                 rows.append(_result_row(args, method, g, value, d=d))
@@ -315,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--beta", help="free left ends by weight (ch)")
     count.add_argument("--connected", action="store_true",
                        help="restrict floor counts to connected curves")
-    count.add_argument("--tie-break", default="ydesc", choices=("ydesc", "yasc"))
+    count.add_argument("--tie-break", choices=("ydesc", "yasc"),
+                       help="lattice path tie-break (latticepath; default ydesc)")
     count.add_argument("--format", default="plain", choices=("plain", "json", "csv"))
     count.set_defaults(func=cmd_count)
 

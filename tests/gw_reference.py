@@ -11,10 +11,9 @@ markings, templates and their placements) but none of its value code.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product as cartesian
 
 from tropgw.ch import (
-    _iter_sub_sequences,
     _seq_add,
     max_genus,
     seq_binom,
@@ -75,7 +74,7 @@ def _ch(d, g, alpha, beta) -> GWElement:
             total = total + edge_factor(k) * _ch(
                 d, g, _seq_add(alpha, k, 1), _seq_add(beta, k, -1)
             )
-    for alpha_p in _iter_sub_sequences(alpha):
+    for alpha_p in map(trim, cartesian(*(range(n + 1) for n in alpha))):
         target = d - 1 - seq_stats(alpha_p)[1] - seq_stats(beta)[1]
         if target < 0:
             continue

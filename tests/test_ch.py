@@ -1,7 +1,20 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import gw_reference as ref
-from tropgw.ch import ch_count, max_genus, seq_binom, seq_stats, trim, weighted_partitions
+import tropgw
+from tropgw.ch import (
+    ch_count,
+    max_genus,
+    memo_snapshot,
+    seq_binom,
+    seq_stats,
+    trim,
+    weighted_partitions,
+)
 from tropgw.gw import ONE, gw_equal, hyperbolic, render
 from tropgw.lattice import delta_polygon
 from tropgw.paths import count_lattice_path
@@ -99,3 +112,34 @@ def test_relative_counts_small():
     # fixing an end of the conic count splits as expected
     value = ch_count(2, 0, (1,), (1,))
     assert value.rank == 1
+
+
+def test_memo_keys_are_canonical():
+    # inputs with a trailing zero are trimmed where they enter; the
+    # recursion must not build a key with one either
+    for d in range(1, 8):
+        for ia in range(d + 1):
+            for alpha in weighted_partitions(ia):
+                for beta in weighted_partitions(d - ia):
+                    ch_count(d, 0, alpha + (0,), beta + (0,))
+    keys = memo_snapshot()
+    assert len(keys) > 800
+    for d, g, alpha, beta in keys:
+        for seq in (alpha, beta):
+            assert type(seq) is tuple and all(n >= 0 for n in seq), (d, g, alpha, beta)
+            assert not seq or seq[-1] != 0, (d, g, alpha, beta)
+
+
+def test_memo_size_in_a_fresh_process():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tropgw.__file__)))
+    code = (
+        "from tropgw import ch\n"
+        "ch.ch_count(7, 0); print(len(ch.memo_snapshot()))\n"
+        "ch.ch_count(9, 0); print(len(ch.memo_snapshot()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["883", "3839"]

@@ -35,11 +35,13 @@ def test_count_ch_plain(capsys):
 
 
 def test_count_latticepath(capsys):
-    code, out = run_cli(
-        capsys, "count", "--method", "latticepath", "--d", "3", "--g", "1"
-    )
-    assert code == 0
-    assert out.strip() == "⟨1⟩ (rank 1, signature 1)"
+    for tie_break in ([], ["--tie-break", "yasc"]):
+        code, out = run_cli(
+            capsys, "count", "--method", "latticepath", "--d", "3", "--g", "1",
+            *tie_break,
+        )
+        assert code == 0
+        assert out.strip() == "⟨1⟩ (rank 1, signature 1)"
 
 
 def test_count_floor_hirzebruch(capsys):
@@ -110,6 +112,10 @@ def assert_argument_error(capsys, argv, message):
          "--wl/--wr need the --k/--a Hirzebruch data, not --d"),
         ("--method latticepath --d 3 --g 0 --wl 1,1,1",
          "--wl/--wr need the --k/--a Hirzebruch data, not --d"),
+        ("--method ch --d 3 --g 0 --tie-break yasc",
+         "--tie-break is only supported by --method latticepath"),
+        ("--method floor --d 3 --g 0 --tie-break ydesc",
+         "--tie-break is only supported by --method latticepath"),
         # the other argument errors
         ("--method ch --d 3 --k 1 --g 0",
          "give either --d or the --k/--a Hirzebruch data"),
@@ -151,10 +157,17 @@ def test_crosscheck_failure_shows_every_method(capsys, monkeypatch):
     code, out = run_cli(capsys, "crosscheck", "--dmax", "3")
     assert code == 1
     assert "d=3 g=0: 2ℍ + 8⟨1⟩ [FAIL]" in out
-    assert "  latticepath: 2ℍ + 8⟨1⟩ (rank 12, signature 8)" in out
-    assert "  ch: 3⟨1⟩ (rank 3, signature 3)" in out
-    assert "  floor: 2ℍ + 8⟨1⟩ (rank 12, signature 8)" in out
-    assert "  latticepath-flip: 2ℍ + 8⟨1⟩ (rank 12, signature 8)" in out
+    assert "  latticepath: 2ℍ + 8⟨1⟩ (rank 12, signature 8)\n" in out
+    assert (
+        "  ch: 3⟨1⟩ (rank 3, signature 3; vs latticepath: rank -9, signature -5)\n"
+    ) in out
+    assert (
+        "  floor: 2ℍ + 8⟨1⟩ (rank 12, signature 8; vs latticepath: rank 0, signature 0)\n"
+    ) in out
+    assert (
+        "  latticepath-flip: 2ℍ + 8⟨1⟩ "
+        "(rank 12, signature 8; vs latticepath: rank 0, signature 0)\n"
+    ) in out
 
 
 def test_crosscheck_csv(capsys):
@@ -252,6 +265,20 @@ def test_invalid_cache_entries_are_dropped(tmp_path):
     stderr = count_cubics_with_cache(cache)
     assert stderr.count("warning:") == 1 and "dropped 2 invalid entries" in stderr
     assert json.loads(cache.read_text())["entries"]["2:0::2"] == [1, 1]
+
+
+def test_unreachable_cache_keys_are_dropped(tmp_path):
+    cache = tmp_path / "memo.json"
+    unreachable = {
+        "3:0:1,0:2": [1, 1],  # trailing zero
+        "3:0:-1:4": [1, 1],  # negative entry
+        "0:0::": [1, 1],  # degree below 1
+        "4:0:5:": [1, 1],  # I(alpha) + I(beta) = 5 != 4
+    }
+    cache.write_text(json.dumps({"version": 2, "entries": unreachable}))
+    stderr = count_cubics_with_cache(cache)
+    assert stderr.count("warning:") == 1 and "dropped 4 invalid entries" in stderr
+    assert not set(unreachable) & set(json.loads(cache.read_text())["entries"])
 
 
 @pytest.mark.parametrize("method", ["floor", "latticepath"])

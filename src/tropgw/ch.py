@@ -169,5 +169,10 @@ def memo_snapshot() -> dict:
     return dict(_memo)
 
 
+def memo_size() -> int:
+    """Number of entries in the memo table."""
+    return len(_memo)
+
+
 def memo_load(entries: dict) -> None:
     _memo.update(entries)

@@ -8,8 +8,9 @@ missing cache is never an error; an unreadable, corrupt or other-version
 file is ignored with one warning and rewritten, and entries that are not a
 valid (rank, signature) pair, or whose key the recursion can never look up
 (a negative entry or trailing zero in alpha or beta, d < 1, or
-I(alpha) + I(beta) != d), are dropped with a warning.  A cache that
-cannot be written is an error (exit status 2).
+I(alpha) + I(beta) != d), are dropped with a warning.  The file is
+written back only when the command added entries or the load warned.  A
+cache that cannot be written is an error (exit status 2).
 """
 
 from __future__ import annotations
@@ -61,15 +62,17 @@ def _cache_entry(name: str, value) -> tuple[tuple, tuple[int, int]]:
     return (d, g, alpha, beta), (rank, signature)
 
 
-def _load_cache(path: str | None) -> None:
+def _load_cache(path: str | None) -> int | None:
+    """Load the cache into the memo; the number of entries loaded, or None
+    if the file is to be rewritten whatever the command adds."""
     if not path or not os.path.exists(path):
-        return
+        return 0
     try:
         with open(path) as handle:
             data = json.load(handle)
     except (OSError, ValueError) as exc:
         _warn(f"cache {path} is unreadable ({exc}); starting empty and rewriting it")
-        return
+        return None
     if (
         not isinstance(data, dict)
         or data.get("version") != CACHE_VERSION
@@ -79,7 +82,7 @@ def _load_cache(path: str | None) -> None:
             f"cache {path} is not a version {CACHE_VERSION} cache; "
             "starting empty and rewriting it"
         )
-        return
+        return None
     entries = {}
     dropped = 0
     for name, value in data["entries"].items():
@@ -89,9 +92,11 @@ def _load_cache(path: str | None) -> None:
             dropped += 1
             continue
         entries[key] = pair
+    ch.memo_load(entries)
     if dropped:
         _warn(f"cache {path}: dropped {dropped} invalid entries")
-    ch.memo_load(entries)
+        return None
+    return len(entries)
 
 
 def _save_cache(path: str | None) -> bool:
@@ -187,6 +192,11 @@ def cmd_count(args) -> int:
                 _reject(
                     "the lattice path method only supports weight-1 ends; "
                     "use --method floor for higher weights"
+                )
+            if len(wl) != a * k + len(wr):
+                _reject(
+                    f"--wl needs a*k + len(--wr) = {a * k + len(wr)} weights, "
+                    f"not {len(wl)}"
                 )
             polygon = hirzebruch_polygon(k, a, len(wr))
         tie_break = args.tie_break or "ydesc"
@@ -362,12 +372,14 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    _load_cache(path)
+    loaded = _load_cache(path)
     try:
         code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if loaded == ch.memo_size():
+        return code  # the file already holds every entry
     return code if _save_cache(path) else 2
 
 

@@ -9,6 +9,16 @@ the cut triangle, while the parallelogram move reflects the corner across
 and costs nothing.  A path that has flattened onto the side's boundary
 chain contributes the unit; a stuck path contributes zero.
 
+Everything runs on index tables built once per (polygon, tie-break): the
+lattice points sorted by the path order, so that a path is an increasing
+tuple of point indices, and for each side a table ``move[a][b][c]``
+(a < b < c) that is ``None`` unless the corner turns toward the side, and
+otherwise holds the cut triangle's weight and the index of the reflected
+point a + c - b (-1 when that is not a lattice point of the polygon).  An
+increasing path is determined by its set of points, so each side memoizes
+on the int bitmask of that set: a corner cut clears one bit, a
+parallelogram move clears one and sets another.
+
 The recursion runs on exact (rank, signature) pairs, multiplied
 componentwise.  A triangle of normalized area m costs the pair of its
 quadratic-form weight: (m, 0) for even m and (m, +-1) for odd m, the sign
@@ -17,16 +27,16 @@ given by the parity of its interior lattice points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import combinations
+from math import gcd
+from typing import NamedTuple
 
 from .gw import GWElement, gw_from_pair
 from .lattice import (
     DualSubdivision,
     Point,
     Polygon,
-    interior_points,
     lattice_length,
-    normalized_area,
 )
 
 POSITIVE = "positive"
@@ -46,61 +56,94 @@ def lambda_key(pt: Point, tie_break: str = "ydesc") -> tuple[int, int]:
     raise ValueError(f"unknown tie break {tie_break!r}")
 
 
-def _triangle(a: Point, b: Point, c: Point) -> tuple[int, int]:
-    """(rank, signature) of the quadratic-form weight of a cut triangle."""
-    area = normalized_area(a, b, c)
-    if area % 2 == 0:
-        return area, 0
-    return area, -1 if interior_points(a, b, c) % 2 else 1
+class _Tables(NamedTuple):
+    points: list[Point]  # the lattice points in path order
+    index: dict[Point, int]
+    move: dict[str, list]  # side -> move[a][b][c]
+    chain: dict[str, int]  # side -> bitmask of its boundary chain
 
 
-@dataclass
-class _Context:
-    polygon: Polygon
-    chains: dict[str, tuple[Point, ...]]
-    memo: dict = field(default_factory=dict)
-
-
-def _make_context(polygon: Polygon, tie_break: str) -> _Context:
-    pts = sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
-    start, end = pts[0], pts[-1]
+def _tables(polygon: Polygon, tie_break: str) -> _Tables:
+    points = sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    move = {side: [[[None] * n for _ in range(n)] for _ in range(n)]
+            for side in (POSITIVE, NEGATIVE)}
+    for a, b, c in combinations(range(n), 3):
+        (ax, ay), (bx, by), (cx, cy) = points[a], points[b], points[c]
+        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        if cross == 0:
+            continue
+        # right turns flatten onto the ccw chain, left turns onto the cw chain
+        side = NEGATIVE if cross > 0 else POSITIVE
+        area = abs(cross)
+        if area % 2 == 0:
+            weight = (area, 0)
+        else:
+            # Pick: (area - boundary + 2) / 2 lattice points lie inside
+            boundary = gcd(bx - ax, by - ay) + gcd(cx - bx, cy - by) + gcd(cx - ax, cy - ay)
+            weight = (area, -1 if (area - boundary + 2) // 2 % 2 else 1)
+        move[side][a][b][c] = (weight, index.get((ax + cx - bx, ay + cy - by), -1))
     cycle = polygon.boundary_lattice_points()
-    i, j = cycle.index(start), cycle.index(end)
-    n = len(cycle)
-    ccw = tuple(cycle[(i + t) % n] for t in range((j - i) % n + 1))
-    cw = tuple(cycle[(i - t) % n] for t in range((i - j) % n + 1))
-    # right turns flatten onto the ccw chain, left turns onto the cw chain
-    return _Context(polygon, {POSITIVE: ccw, NEGATIVE: cw})
+    i, j, m = cycle.index(points[0]), cycle.index(points[-1]), len(cycle)
+    ccw = [cycle[(i + t) % m] for t in range((j - i) % m + 1)]
+    cw = [cycle[(i - t) % m] for t in range((i - j) % m + 1)]
+    chain = {side: sum(1 << index[p] for p in pts)
+             for side, pts in ((POSITIVE, ccw), (NEGATIVE, cw))}
+    return _Tables(points, index, move, chain)
 
 
-def _cross(a: Point, b: Point, c: Point) -> int:
-    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-
-
-def _side_value(path: tuple[Point, ...], side: str, ctx: _Context) -> tuple[int, int]:
-    key = (path, side)
-    cached = ctx.memo.get(key)
-    if cached is not None:
-        return cached
-    want_left = side == NEGATIVE
-    value = None
+def _first_turn(path: tuple[int, ...], move: list):
+    """(j, move entry) of the first corner path[j] turning toward the side,
+    or None if the path has no such corner."""
     for j in range(1, len(path) - 1):
-        cr = _cross(path[j - 1], path[j], path[j + 1])
-        if (cr > 0) if want_left else (cr < 0):
-            a, b, c = path[j - 1], path[j], path[j + 1]
-            tri_rank, tri_signature = _triangle(a, b, c)
-            r, s = _side_value(path[:j] + path[j + 1:], side, ctx)
-            rank, signature = tri_rank * r, tri_signature * s
-            reflected = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-            if ctx.polygon.contains(reflected):
-                r, s = _side_value(path[:j] + (reflected,) + path[j + 1:], side, ctx)
-                rank, signature = rank + r, signature + s
-            value = (rank, signature)
-            break
-    if value is None:
-        value = (1, 1) if path == ctx.chains[side] else (0, 0)
-    ctx.memo[key] = value
+        entry = move[path[j - 1]][path[j]][path[j + 1]]
+        if entry is not None:
+            return j, entry
+    return None
+
+
+def _side_walker(tables: _Tables, side: str):
+    """The completion multiplicity of one side, as a function of
+    (path, mask), memoized on the mask."""
+    move, chain = tables.move[side], tables.chain[side]
+    memo: dict[int, tuple[int, int]] = {}
+
+    def value(path: tuple[int, ...], mask: int) -> tuple[int, int]:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        turn = _first_turn(path, move)
+        if turn is None:
+            result = (1, 1) if mask == chain else (0, 0)
+        else:
+            j, ((tri_rank, tri_signature), r) = turn
+            b = path[j]
+            rank, signature = value(path[:j] + path[j + 1:], mask ^ (1 << b))
+            rank, signature = tri_rank * rank, tri_signature * signature
+            if r >= 0:
+                shifted = path[:j] + (r,) + path[j + 1:]
+                r_rank, r_signature = value(shifted, mask ^ (1 << b) | (1 << r))
+                rank, signature = rank + r_rank, signature + r_signature
+            result = (rank, signature)
+        memo[mask] = result
+        return result
+
     return value
+
+
+def _path_indices(path, tables: _Tables) -> tuple[int, ...]:
+    """The path as point indices; ValueError unless it is an increasing
+    path of lattice points of the polygon."""
+    indices = []
+    for p in path:
+        p = tuple(p)
+        if p not in tables.index:
+            raise ValueError(f"path leaves the polygon at {p}")
+        indices.append(tables.index[p])
+    if any(j <= i for i, j in zip(indices, indices[1:])):
+        raise ValueError("path is not strictly increasing in the path order")
+    return tuple(indices)
 
 
 def path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc") -> GWElement:
@@ -111,32 +154,11 @@ def path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc") -> GW
     """
     if side not in (POSITIVE, NEGATIVE):
         raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}")
-    path = tuple(tuple(p) for p in path)
-    for p in path:
-        if not polygon.contains(p):
-            raise ValueError(f"path leaves the polygon at {p}")
-    keys = [lambda_key(p, tie_break) for p in path]
-    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
-        raise ValueError("path is not strictly increasing in the path order")
-    value = _side_value(path, side, _make_context(polygon, tie_break))
-    return gw_from_pair(value, [lattice_length(p, q) for p, q in zip(path, path[1:])])
-
-
-def _iter_paths(points: list[Point], n_steps: int):
-    last = len(points) - 1
-    path = [points[0]]
-
-    def rec(idx: int, steps_left: int):
-        if steps_left == 0:
-            if idx == last:
-                yield tuple(path)
-            return
-        for nxt in range(idx + 1, last - steps_left + 2):
-            path.append(points[nxt])
-            yield from rec(nxt, steps_left - 1)
-            path.pop()
-
-    yield from rec(0, n_steps)
+    tables = _tables(polygon, tie_break)
+    indices = _path_indices(path, tables)
+    value = _side_walker(tables, side)(indices, sum(1 << i for i in indices))
+    points = [tables.points[i] for i in indices]
+    return gw_from_pair(value, [lattice_length(p, q) for p, q in zip(points, points[1:])])
 
 
 def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GWElement:
@@ -150,44 +172,51 @@ def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GW
     n_steps = polygon.num_boundary_points() + g - 1
     if n_steps < 1:
         raise ValueError(f"no paths with {n_steps} steps")
-    ctx = _make_context(polygon, tie_break)
-    points = sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
+    tables = _tables(polygon, tie_break)
+    # The side with the longer boundary chain is zero on more paths, so it
+    # goes first and the other side is evaluated only where it is nonzero.
+    first, second = sorted(
+        (POSITIVE, NEGATIVE), key=lambda side: -tables.chain[side].bit_count()
+    )
+    first, second = _side_walker(tables, first), _side_walker(tables, second)
+    last = len(tables.points) - 1
+    bit = [1 << i for i in range(last + 1)]
     rank = signature = 0
-    for path in _iter_paths(points, n_steps):
-        pos_rank, pos_signature = _side_value(path, POSITIVE, ctx)
-        if not pos_rank:
+    for middle in combinations(range(1, last), n_steps - 1):
+        path = (0, *middle, last)
+        mask = bit[0] + bit[last] + sum(map(bit.__getitem__, middle))
+        first_rank, first_signature = first(path, mask)
+        if not first_rank:
             continue
-        neg_rank, neg_signature = _side_value(path, NEGATIVE, ctx)
-        rank += pos_rank * neg_rank
-        signature += pos_signature * neg_signature
+        second_rank, second_signature = second(path, mask)
+        rank += first_rank * second_rank
+        signature += first_signature * second_signature
     return gw_from_pair((rank, signature))
 
 
-def _side_reductions(path: tuple[Point, ...], side: str, ctx: _Context):
+def _side_reductions(path: tuple[int, ...], tables: _Tables, side: str):
     """All successful reductions of one side: (triangles, parallelograms)."""
-    want_left = side == NEGATIVE
-    for j in range(1, len(path) - 1):
-        cr = _cross(path[j - 1], path[j], path[j + 1])
-        if (cr > 0) if want_left else (cr < 0):
-            a, b, c = path[j - 1], path[j], path[j + 1]
-            for tris, pars in _side_reductions(path[:j] + path[j + 1:], side, ctx):
-                yield tris + ((a, b, c),), pars
-            reflected = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-            if ctx.polygon.contains(reflected):
-                shifted = path[:j] + (reflected,) + path[j + 1:]
-                for tris, pars in _side_reductions(shifted, side, ctx):
-                    yield tris, pars + ((a, b, c),)
-            return
-    if path == ctx.chains[side]:
-        yield (), ()
+    turn = _first_turn(path, tables.move[side])
+    if turn is None:
+        if sum(1 << i for i in path) == tables.chain[side]:
+            yield (), ()
+        return
+    j, (_, r) = turn
+    corner = tuple(tables.points[i] for i in path[j - 1:j + 2])
+    for tris, pars in _side_reductions(path[:j] + path[j + 1:], tables, side):
+        yield tris + (corner,), pars
+    if r >= 0:
+        shifted = path[:j] + (r,) + path[j + 1:]
+        for tris, pars in _side_reductions(shifted, tables, side):
+            yield tris, pars + (corner,)
 
 
 def path_subdivisions(path, polygon: Polygon, tie_break: str = "ydesc"):
     """Dual subdivisions realized by the path; one per successful branch pair."""
-    path = tuple(tuple(p) for p in path)
-    ctx = _make_context(polygon, tie_break)
-    for tris_p, pars_p in _side_reductions(path, POSITIVE, ctx):
-        for tris_n, pars_n in _side_reductions(path, NEGATIVE, ctx):
+    tables = _tables(polygon, tie_break)
+    indices = _path_indices(path, tables)
+    for tris_p, pars_p in _side_reductions(indices, tables, POSITIVE):
+        for tris_n, pars_n in _side_reductions(indices, tables, NEGATIVE):
             yield DualSubdivision(
                 triangles=tris_p + tris_n, parallelograms=pars_p + pars_n
             )

@@ -4,8 +4,10 @@ The package evaluates every count on (rank, signature) pairs and builds
 the GW(Q) element once at the end.  These evaluators compute the same
 counts directly in the Grothendieck-Witt ring, with the factor formulas of
 ``curves.triangle_mult``, so that the tests compare two independently
-computed values.  They reuse the package's enumerators (paths, diagrams,
-markings, templates and their placements) but none of its value code.
+computed values.  They reuse the package's enumerators of diagrams,
+markings, templates and their placements, but none of its value code; the
+lattice paths are enumerated here by brute force, with their own boundary
+chains and point-tuple walker.
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ from tropgw.curves import triangle_mult
 from tropgw.floors import count_markings, enumerate_diagrams
 from tropgw.gw import ONE, ZERO, GWElement
 from tropgw.lattice import interior_points, lattice_length, normalized_area
-from tropgw.paths import (
-    NEGATIVE,
-    POSITIVE,
-    _cross,
-    _iter_paths,
-    _make_context,
-    lambda_key,
-)
+from tropgw.paths import NEGATIVE, POSITIVE, lambda_key
 from tropgw.templates import enumerate_templates, template_placement_data
 
 
@@ -98,42 +93,74 @@ def _ch(d, g, alpha, beta) -> GWElement:
 # -- lattice paths ---------------------------------------------------------
 
 
+def _cross(a, b, c) -> int:
+    """Turn of the corner a, b, c: positive for a left turn."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+
+
+def _sorted_points(polygon, tie_break):
+    return sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
+
+
+def _chains(polygon, tie_break) -> dict:
+    """The two boundary chains from the first to the last point of the path
+    order: the positive side's chain runs right of the line through them,
+    the negative side's left of it.  Boundary points on that line belong to
+    the chain on the side away from the polygon."""
+    points = _sorted_points(polygon, tie_break)
+    start, end = points[0], points[-1]
+    side = {p: _cross(start, end, p) for p in polygon.boundary_lattice_points()}
+    polygon_left = any(s > 0 for s in side.values())
+    positive = [p for p, s in side.items() if s < 0 or (s == 0 and polygon_left)]
+    negative = [p for p, s in side.items() if s > 0 or (s == 0 and not polygon_left)]
+    return {
+        name: tuple(sorted({start, end, *chain}, key=lambda p: lambda_key(p, tie_break)))
+        for name, chain in ((POSITIVE, positive), (NEGATIVE, negative))
+    }
+
+
 def _triangle(a, b, c) -> GWElement:
     lengths = (lattice_length(a, b), lattice_length(b, c), lattice_length(c, a))
     return triangle_mult(normalized_area(a, b, c), lengths, interior_points(a, b, c))
 
 
-def _side(path, side, ctx, memo) -> GWElement:
-    key = (path, side)
-    if key in memo:
-        return memo[key]
+def _side(path, side, polygon, chain, memo) -> GWElement:
+    if path in memo:
+        return memo[path]
     want_left = side == NEGATIVE
-    value = ONE if path == ctx.chains[side] else ZERO
+    value = ONE if path == chain else ZERO
     for j in range(1, len(path) - 1):
         cr = _cross(path[j - 1], path[j], path[j + 1])
         if (cr > 0) if want_left else (cr < 0):
             a, b, c = path[j - 1], path[j], path[j + 1]
-            value = _triangle(a, b, c) * _side(path[:j] + path[j + 1:], side, ctx, memo)
+            value = _triangle(a, b, c) * _side(
+                path[:j] + path[j + 1:], side, polygon, chain, memo
+            )
             reflected = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-            if ctx.polygon.contains(reflected):
+            if polygon.contains(reflected):
                 shifted = path[:j] + (reflected,) + path[j + 1:]
-                value = value + _side(shifted, side, ctx, memo)
+                value = value + _side(shifted, side, polygon, chain, memo)
             break
-    memo[key] = value
+    memo[path] = value
     return value
 
 
 def path_mult(path, polygon, side, tie_break="ydesc") -> GWElement:
     path = tuple(tuple(p) for p in path)
-    return _side(path, side, _make_context(polygon, tie_break), {})
+    return _side(path, side, polygon, _chains(polygon, tie_break)[side], {})
 
 
 def count_lattice_path(polygon, g, tie_break="ydesc") -> GWElement:
-    ctx, memo = _make_context(polygon, tie_break), {}
-    points = sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
+    """Brute force: every increasing path of the right length, both sides."""
+    points = _sorted_points(polygon, tie_break)
+    chains = _chains(polygon, tie_break)
+    memos = {POSITIVE: {}, NEGATIVE: {}}
+    n_steps = polygon.num_boundary_points() + g - 1
     total = ZERO
-    for path in _iter_paths(points, polygon.num_boundary_points() + g - 1):
-        pos, neg = _side(path, POSITIVE, ctx, memo), _side(path, NEGATIVE, ctx, memo)
+    for middle in combinations(points[1:-1], n_steps - 1):
+        path = (points[0],) + middle + (points[-1],)
+        pos = _side(path, POSITIVE, polygon, chains[POSITIVE], memos[POSITIVE])
+        neg = _side(path, NEGATIVE, polygon, chains[NEGATIVE], memos[NEGATIVE])
         total = total + pos * neg
     return total
 

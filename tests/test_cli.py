@@ -124,6 +124,10 @@ def assert_argument_error(capsys, argv, message):
         ("--method latticepath --k 1 --a 2 --wl 3,1 --g 0",
          "the lattice path method only supports weight-1 ends; "
          "use --method floor for higher weights"),
+        ("--method latticepath --k 1 --a 2 --wl 1 --g 0",
+         "--wl needs a*k + len(--wr) = 2 weights, not 1"),
+        ("--method latticepath --k 1 --a 2 --wl 1,1,1,1 --g 0",
+         "--wl needs a*k + len(--wr) = 2 weights, not 4"),
     ],
 )
 def test_count_argument_errors_exit_2(capsys, argv, message):
@@ -237,6 +241,15 @@ def count_cubics_with_cache(cache):
     assert rewritten["version"] == 2
     assert rewritten["entries"]["3:0::3"] == [12, 8]
     return proc.stderr
+
+
+def test_warm_query_leaves_the_cache_file_alone(tmp_path):
+    cache = tmp_path / "memo.json"
+    count_cubics_with_cache(cache)
+    before = os.stat(cache)
+    assert count_cubics_with_cache(cache) == ""
+    after = os.stat(cache)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 def test_corrupt_cache_is_ignored_and_rewritten(tmp_path):

@@ -8,7 +8,7 @@ import gw_reference as ref
 from tropgw.curves import SimpleCurve, arith_mult, complex_mult, real_mult
 from tropgw.lattice import DualSubdivision, boundary_end_weights
 
-from tropgw.ch import ch_count, max_genus
+from tropgw.ch import ch_count, max_genus, weighted_partitions
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.floors import (
     FloorDiagram,
@@ -394,6 +394,22 @@ def test_weighted_floor_counts_match_gw_reference():
         if expected.signature and square_free(prod(wl) * prod(wr)) != 1:
             nonsquare += 1
     assert nonsquare >= 4
+
+
+def test_relative_recursion_matches_floor_count():
+    # free left ends beta on both sides: a second pipeline for the
+    # non-square classes of the relative recursion
+    values = nonsquare = 0
+    for d in range(1, 6):
+        for beta in weighted_partitions(d):
+            ends = tuple(w for w, n in enumerate(beta, start=1) for _ in range(n))
+            for g in range(-2, max_genus(d) + 1):
+                value = ch_count(d, g, (), beta)
+                assert gw_equal(value, floor_count(1, d, ends, (), g)), (d, beta, g)
+                values += 1
+                nonsquare += any(abs(r) != 1 for r, _ in value.terms)
+    assert values == 114
+    assert nonsquare > 0
 
 
 def test_floor_against_lattice_path_and_recursion():

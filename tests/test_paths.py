@@ -6,6 +6,7 @@ import gw_reference as ref
 from tropgw.curves import SimpleCurve, VertexStar, arith_mult, vertex_mult
 from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render, square_free
 from tropgw.lattice import (
+    Polygon,
     boundary_end_weights,
     delta_polygon,
     hirzebruch_polygon,
@@ -63,6 +64,14 @@ def test_golden_values():
     assert count_lattice_path(delta_polygon(2), -1) == 3 * ONE
 
 
+def test_cut_triangle_with_odd_interior_count():
+    # area 3, one interior point: the vertex weight is H + <-1>, not H + <1>
+    polygon = Polygon.from_vertices([(0, 0), (2, 1), (1, 2)])
+    for tie_break in ("ydesc", "yasc"):
+        assert count_lattice_path(polygon, 0, tie_break) == hyperbolic(1) + diag(-1)
+        assert count_lattice_path(polygon, 1, tie_break) == ONE
+
+
 def test_one_node_formula_small():
     for d in (3, 4, 5):
         gmax = (d - 1) * (d - 2) // 2
@@ -95,6 +104,23 @@ def test_rank_and_signature_specializations():
                 value = count_lattice_path(polygon, g, tie_break)
                 expected = ref.count_lattice_path(polygon, g, tie_break)
                 assert gw_equal(value, expected), (d, g, tie_break)
+                assert value.rank == expected.rank
+                assert value.signature == expected.signature
+
+
+def test_counts_match_brute_force_oracle():
+    # the reference enumerates every path with its own chains and walker
+    d4 = delta_polygon(4)
+    sheared = Polygon.from_vertices([(x + 7, y - 2 * x + 20) for x, y in d4.vertices])
+    cases = [(d4, -2), (sheared, -2), (delta_polygon(5), 3)]
+    for k, a, b in ((1, 2, 1), (2, 2, 1), (0, 2, 2), (1, 3, 1), (0, 3, 2)):
+        cases.append((hirzebruch_polygon(k, a, b), -1))
+    for polygon, gmin in cases:
+        for g in range(gmin, polygon.interior_count() + 1):
+            for tie_break in ("ydesc", "yasc"):
+                value = count_lattice_path(polygon, g, tie_break)
+                expected = ref.count_lattice_path(polygon, g, tie_break)
+                assert gw_equal(value, expected), (polygon, g, tie_break)
                 assert value.rank == expected.rank
                 assert value.signature == expected.signature
 

@@ -15,14 +15,24 @@ Genus bookkeeping allows negative g (counts of disconnected curves), so
 the base case is the single line: degree 1 counts <1> at genus 0 and
 nothing otherwise.  ``ch_count`` returns p*H + q*<+-I^beta>.
 
+The genus enters each term only as a shift: fixing an end keeps g, and a
+floor with |gamma| new free ends passes to g' = g - |gamma| + 1.  So the
+recursion runs once per (d, alpha, beta) and returns the counts at every
+genus, as (g_lo, ranks, signatures) with entry i at genus g_lo + i.  Its
+range starts at 1 - 2d - |beta| and ends at max_genus(d), outside of which
+nothing is counted, and both zero ends are trimmed.  A term adds its
+child's vectors, shifted by the floor's |gamma| - 1 and scaled by the
+term's pair; every shifted child lies within the parent's range.
+
 Sequences are checked once, where they enter: in ``ch_count`` (``trim``
 and ``check_key``) and in the CLI's cache loader (``check_key``).  A canonical
 sequence has no negative entry and no trailing zero; the recursion
 receives canonical tuples and builds only canonical tuples, so every memo
 key is canonical.
 
-The memo table is an associative cache: every insertion for a key writes
-the same value, so concurrent evaluation and cache merging are safe.
+The memo table, keyed by (d, alpha, beta), is an associative cache: every
+insertion for a key writes the same counts at every genus, so concurrent
+evaluation and cache merging are safe.
 """
 
 from __future__ import annotations
@@ -121,51 +131,83 @@ def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
     alpha = trim(alpha)
     beta = trim(beta) if beta is not None else (d,)
     check_key(d, alpha, beta)
+    g_lo, ranks, signatures = _ch(d, alpha, beta)
+    i = g - g_lo
+    pair = (ranks[i], signatures[i]) if 0 <= i < len(ranks) else (0, 0)
     free_weights = [w for w, n in enumerate(beta, start=1) for _ in range(n)]
-    return gw_from_pair(_ch(d, g, alpha, beta), free_weights)
+    return gw_from_pair(pair, free_weights)
 
 
-def _ch(d: int, g: int, alpha: Sequence, beta: Sequence) -> tuple[int, int]:
+def genus_floor(d: int, beta: Sequence) -> int:
+    """Lowest genus at which (d, alpha, beta) can count anything."""
+    return 1 - 2 * d - sum(beta)
+
+
+def _floor_terms(d: int, beta: Sequence, target: int) -> list[tuple]:
+    """The floors of degree d whose new free ends gamma have I(gamma) =
+    target: (|gamma| - 1, beta + gamma, b * I^gamma, b * (I^gamma mod 2))
+    with b = binom(beta + gamma, beta); a floor shifts the genus by
+    |gamma| - 1."""
+    terms = []
+    for gamma in weighted_partitions(target):
+        shift = sum(gamma) - 1
+        if shift > d - 2:
+            continue
+        beta_p = tuple(map(sum, zip_longest(beta, gamma, fillvalue=0)))
+        prod_gamma = prod(k**n for k, n in enumerate(gamma, start=1))
+        binom_beta = prod(map(comb, beta_p, beta))
+        terms.append(
+            (shift, beta_p, binom_beta * prod_gamma, binom_beta * (prod_gamma % 2))
+        )
+    return terms
+
+
+def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, Sequence, Sequence]:
+    """Counts at every genus: (g_lo, ranks, signatures), entry i at genus
+    g_lo + i, zero ends trimmed; every other genus counts nothing."""
     if d == 1:
-        return (1, 1) if g == 0 else (0, 0)
-    if g > max_genus(d):
-        return (0, 0)
-    if 2 * d + g + sum(beta) - 1 < 0:
-        return (0, 0)
-    key = (d, g, alpha, beta)
+        return 0, (1,), (1,)
+    key = (d, alpha, beta)
     cached = _memo.get(key)
     if cached is not None:
         return cached
-    rank = signature = 0
+    g_lo = genus_floor(d, beta)
+    ranks = [0] * (max_genus(d) - g_lo + 1)
+    signatures = ranks[:]
+
+    def add(child, shift, rank_factor, signature_factor):
+        c_lo, c_ranks, c_signatures = child
+        for i, r, s in zip(count(c_lo + shift - g_lo), c_ranks, c_signatures):
+            ranks[i] += rank_factor * r
+            signatures[i] += signature_factor * s
+
     for k, bk in enumerate(beta, start=1):
         if bk > 0:
-            r, s = _ch(d, g, _seq_add(alpha, k, 1), _seq_add(beta, k, -1))
-            rank += k * r
-            signature += (k % 2) * s
+            add(_ch(d, _seq_add(alpha, k, 1), _seq_add(beta, k, -1)), 0, k, k % 2)
+    terms: dict = {}  # target -> its floor terms, built once per call
     ib = sum(map(mul, beta, count(1)))
     for alpha_p in product(*(range(n + 1) for n in alpha)):
         target = d - 1 - ib - sum(map(mul, alpha_p, count(1)))
         if target < 0:
             continue
+        if target not in terms:
+            terms[target] = _floor_terms(d, beta, target)
         binom_alpha = prod(map(comb, alpha, alpha_p))
         alpha_p = _strip(alpha_p)
-        for gamma in weighted_partitions(target):
-            size_gamma = sum(gamma)
-            if size_gamma - 1 > d - 2:
-                continue
-            beta_p = tuple(map(sum, zip_longest(beta, gamma, fillvalue=0)))
-            prod_gamma = prod(k**n for k, n in enumerate(gamma, start=1))
-            coeff = binom_alpha * prod(map(comb, beta_p, beta))
-            r, s = _ch(d - 1, g - size_gamma + 1, alpha_p, beta_p)
-            rank += coeff * prod_gamma * r
-            signature += coeff * (prod_gamma % 2) * s
-    value = (rank, signature)
+        for shift, beta_p, rank_factor, signature_factor in terms[target]:
+            add(
+                _ch(d - 1, alpha_p, beta_p), shift,
+                binom_alpha * rank_factor, binom_alpha * signature_factor,
+            )
+    live = [i for i, r in enumerate(ranks) if r]  # a form of rank 0 is zero
+    lo, hi = (live[0], live[-1] + 1) if live else (0, 0)
+    value = (g_lo + lo, tuple(ranks[lo:hi]), tuple(signatures[lo:hi]))
     _memo[key] = value
     return value
 
 
 def memo_snapshot() -> dict:
-    """Copy of the memo table, (d, g, alpha, beta) -> (rank, signature)."""
+    """Copy of the memo table, (d, alpha, beta) -> (g_lo, ranks, signatures)."""
     return dict(_memo)
 
 

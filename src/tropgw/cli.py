@@ -3,14 +3,17 @@
 All commands work in exact arithmetic and print deterministic output.  The
 recursion memo can be persisted to a JSON cache file (``--cache`` or the
 ``TROPGW_CACHE`` environment variable).  The file holds
-``{"version": 2, "entries": {"d:g:alpha:beta": [rank, signature]}}``.  A
-missing cache is never an error; an unreadable, corrupt or other-version
-file is ignored with one warning and rewritten, and entries that are not a
-valid (rank, signature) pair, or whose key the recursion can never look up
-(a negative entry or trailing zero in alpha or beta, d < 1, or
-I(alpha) + I(beta) != d), are dropped with a warning.  The file is
-written back only when the command added entries or the load warned.  A
-cache that cannot be written is an error (exit status 2).
+``{"version": 3, "entries": {"d:alpha:beta": [g_lo, [ranks], [signatures]]}}``,
+the counts of (d, alpha, beta) at every genus from g_lo on.  A missing
+cache is never an error; an unreadable, corrupt or other-version file is
+ignored with one warning and rewritten.  An entry is dropped, under one
+warning, unless the recursion can look its key up (no negative entry or
+trailing zero in alpha or beta, d >= 1, I(alpha) + I(beta) = d), its two
+lists have equal length and hold the (rank, signature) pairs of valid
+forms, and its genera lie in 1 - 2d - |beta| .. max_genus(d), where the
+recursion can count anything.  The file is written back only when the
+command added entries or the load warned.  A cache that cannot be written
+is an error (exit status 2).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .gw import GWElement, gw_equal, gw_from_pair, gw_to_json, render
 from .lattice import delta_polygon, hirzebruch_polygon
 
 CACHE_ENV = "TROPGW_CACHE"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def _parse_weights(text: str | None) -> tuple[int, ...]:
@@ -48,18 +51,26 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _cache_entry(name: str, value) -> tuple[tuple, tuple[int, int]]:
+def _cache_entry(name: str, value) -> tuple[tuple, tuple]:
     """Parse one cache entry; ValueError unless the recursion can look its key
-    up and its value is a valid rank/signature pair."""
-    d, g, alpha, beta = name.split(":")
-    d, g, alpha, beta = int(d), int(g), _parse_weights(alpha), _parse_weights(beta)
+    up and its value holds valid rank/signature pairs at genera where the
+    recursion can count anything."""
+    d, alpha, beta = name.split(":")
+    d, alpha, beta = int(d), _parse_weights(alpha), _parse_weights(beta)
     ch.check_key(d, alpha, beta)
-    if not isinstance(value, list) or [type(x) for x in value] != [int, int]:
-        raise ValueError(f"{value!r} is not a [rank, signature] pair of integers")
-    rank, signature = value
-    if (rank - signature) % 2 or abs(signature) > rank:
-        raise ValueError(f"no form has rank {rank} and signature {signature}")
-    return (d, g, alpha, beta), (rank, signature)
+    if not isinstance(value, list) or [type(x) for x in value] != [int, list, list]:
+        raise ValueError(f"{value!r} is not a [g_lo, [ranks], [signatures]] entry")
+    g_lo, ranks, signatures = value
+    if len(ranks) != len(signatures):
+        raise ValueError("ranks and signatures differ in length")
+    for rank, signature in zip(ranks, signatures):
+        if type(rank) is not int or type(signature) is not int:
+            raise ValueError(f"{rank!r}, {signature!r} are not integers")
+        if (rank - signature) % 2 or abs(signature) > rank:
+            raise ValueError(f"no form has rank {rank} and signature {signature}")
+    if g_lo < ch.genus_floor(d, beta) or g_lo + len(ranks) - 1 > ch.max_genus(d):
+        raise ValueError(f"genera from {g_lo} on lie outside the recursion's range")
+    return (d, alpha, beta), (g_lo, tuple(ranks), tuple(signatures))
 
 
 def _load_cache(path: str | None) -> int | None:
@@ -87,11 +98,11 @@ def _load_cache(path: str | None) -> int | None:
     dropped = 0
     for name, value in data["entries"].items():
         try:
-            key, pair = _cache_entry(name, value)
+            key, counts = _cache_entry(name, value)
         except ValueError:
             dropped += 1
             continue
-        entries[key] = pair
+        entries[key] = counts
     ch.memo_load(entries)
     if dropped:
         _warn(f"cache {path}: dropped {dropped} invalid entries")
@@ -104,11 +115,9 @@ def _save_cache(path: str | None) -> bool:
     if not path:
         return True
     entries = {}
-    for (d, g, alpha, beta), pair in ch.memo_snapshot().items():
-        name = ":".join(
-            (str(d), str(g), ",".join(map(str, alpha)), ",".join(map(str, beta)))
-        )
-        entries[name] = list(pair)
+    for (d, alpha, beta), (g_lo, ranks, signatures) in ch.memo_snapshot().items():
+        name = ":".join((str(d), ",".join(map(str, alpha)), ",".join(map(str, beta))))
+        entries[name] = [g_lo, list(ranks), list(signatures)]
     data = {"version": CACHE_VERSION, "entries": entries}
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None

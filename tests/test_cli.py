@@ -219,8 +219,9 @@ def test_cache_round_trip(tmp_path, capsys):
     )
     assert code == 0 and cache.exists()
     data = json.loads(cache.read_text())
-    assert data["version"] == 2
-    assert data["entries"]["3:0::3"] == [12, 8]
+    assert data["version"] == 3
+    # genera -2 .. 1 of the plane cubics; genus 0 is 2H + 8<1>
+    assert data["entries"]["3::3"] == [-2, [15, 21, 12, 1], [15, 21, 8, 1]]
     # reload through the cache and recompute
     code, out = run_cli(
         capsys,
@@ -238,8 +239,8 @@ def count_cubics_with_cache(cache):
     assert proc.stdout.strip() == "2ℍ + 8⟨1⟩ (rank 12, signature 8)"
     assert "Traceback" not in proc.stderr
     rewritten = json.loads(cache.read_text())
-    assert rewritten["version"] == 2
-    assert rewritten["entries"]["3:0::3"] == [12, 8]
+    assert rewritten["version"] == 3
+    assert rewritten["entries"]["3::3"] == [-2, [15, 21, 12, 1], [15, 21, 8, 1]]
     return proc.stderr
 
 
@@ -254,44 +255,65 @@ def test_warm_query_leaves_the_cache_file_alone(tmp_path):
 
 def test_corrupt_cache_is_ignored_and_rewritten(tmp_path):
     cache = tmp_path / "memo.json"
-    cache.write_text('{"version": 2, "entries": {"3:0::3": [1')
+    cache.write_text('{"version": 3, "entries": {"3::3": [-2, [1')
     stderr = count_cubics_with_cache(cache)
     assert stderr.count("warning:") == 1 and "unreadable" in stderr
 
 
 def test_parent_format_cache_is_ignored_and_rewritten(tmp_path):
     cache = tmp_path / "memo.json"
-    old = {"3:0::3": {"classes": [{"rep": 1, "mult": 999}], "display": "999⟨1⟩"}}
+    old = {"version": 2, "entries": {"3:0::3": [12, 8]}}  # one pair per genus
     cache.write_text(json.dumps(old))
     stderr = count_cubics_with_cache(cache)
-    assert stderr.count("warning:") == 1 and "version 2" in stderr
+    assert stderr.count("warning:") == 1 and "version 3" in stderr
 
 
 def test_invalid_cache_entries_are_dropped(tmp_path):
     cache = tmp_path / "memo.json"
     entries = {
-        "3:0::3": [13, 8],  # rank and signature of different parity
-        "3:0:1:2": [2, 4],  # |signature| > rank
-        "2:0::2": [1, 1],
+        "3::3": [-2, [15, 21, 13, 1], [15, 21, 8, 1]],  # rank, signature of unequal parity
+        "3:1:2": [-2, [12, 20, 2, 1], [12, 20, 4, 1]],  # |signature| > rank
+        "3:2:1": [-2, [12, 20, 12], [12, 20, 8, 1]],  # ragged
+        "3:3:": [-2, [6, 12, 10, 1, 1], [6, 12, 6, 1, 1]],  # reaches genus 2 > max_genus(3)
+        "2:2:": [-4, [0, 2, 1], [0, 2, 1]],  # reaches genus -4 < 1 - 2d - |beta|
+        "2::2": [-1, [3, 1], [3, 1]],
     }
-    cache.write_text(json.dumps({"version": 2, "entries": entries}))
+    cache.write_text(json.dumps({"version": 3, "entries": entries}))
     stderr = count_cubics_with_cache(cache)
-    assert stderr.count("warning:") == 1 and "dropped 2 invalid entries" in stderr
-    assert json.loads(cache.read_text())["entries"]["2:0::2"] == [1, 1]
+    assert stderr.count("warning:") == 1 and "dropped 5 invalid entries" in stderr
+    assert json.loads(cache.read_text())["entries"]["2::2"] == [-1, [3, 1], [3, 1]]
 
 
 def test_unreachable_cache_keys_are_dropped(tmp_path):
     cache = tmp_path / "memo.json"
     unreachable = {
-        "3:0:1,0:2": [1, 1],  # trailing zero
-        "3:0:-1:4": [1, 1],  # negative entry
-        "0:0::": [1, 1],  # degree below 1
-        "4:0:5:": [1, 1],  # I(alpha) + I(beta) = 5 != 4
+        "3:1,0:2": [0, [1], [1]],  # trailing zero
+        "3:-1:4": [0, [1], [1]],  # negative entry
+        "0::": [0, [1], [1]],  # degree below 1
+        "4:5:": [0, [1], [1]],  # I(alpha) + I(beta) = 5 != 4
     }
-    cache.write_text(json.dumps({"version": 2, "entries": unreachable}))
+    cache.write_text(json.dumps({"version": 3, "entries": unreachable}))
     stderr = count_cubics_with_cache(cache)
     assert stderr.count("warning:") == 1 and "dropped 4 invalid entries" in stderr
     assert not set(unreachable) & set(json.loads(cache.read_text())["entries"])
+
+
+def test_warm_queries_at_other_genera_leave_the_cache_file_alone(tmp_path):
+    # one entry holds every genus, so the sextic fill answers other genera,
+    # and the quintic counts it passed through
+    cache = tmp_path / "memo.json"
+    fill = run_cli_process(
+        "--cache", str(cache), "count", "--method", "ch", "--d", "6", "--g", "0"
+    )
+    assert fill.returncode == 0, fill.stderr
+    before = os.stat(cache)
+    for d, g in (("6", "3"), ("5", "-1")):
+        query = ("count", "--method", "ch", "--d", d, "--g", g)
+        proc = run_cli_process("--cache", str(cache), *query)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run_cli_process(*query).stdout
+    after = os.stat(cache)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 @pytest.mark.parametrize("method", ["floor", "latticepath"])

@@ -55,6 +55,7 @@ from .templates import (
     enumerate_templates,
     fit_node_polynomial,
     severi_by_templates,
+    severi_by_templates_range,
     template_mult,
 )
 

@@ -27,6 +27,7 @@ given by the parity of its interior lattice points.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -93,6 +94,12 @@ def _tables(polygon: Polygon, tie_break: str) -> _Tables:
     return _Tables(points, index, move, chain)
 
 
+# path_mult and path_subdivisions evaluate one path per call, and building
+# the tables costs more than the walk, so they share the tables of recent
+# (polygon, tie-break) pairs.  count_lattice_path builds its own.
+_shared_tables = lru_cache(maxsize=8)(_tables)
+
+
 def _first_turn(path: tuple[int, ...], move: list):
     """(j, move entry) of the first corner path[j] turning toward the side,
     or None if the path has no such corner."""
@@ -154,7 +161,7 @@ def path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc") -> GW
     """
     if side not in (POSITIVE, NEGATIVE):
         raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}")
-    tables = _tables(polygon, tie_break)
+    tables = _shared_tables(polygon, tie_break)
     indices = _path_indices(path, tables)
     value = _side_walker(tables, side)(indices, sum(1 << i for i in indices))
     points = [tables.points[i] for i in indices]
@@ -213,7 +220,7 @@ def _side_reductions(path: tuple[int, ...], tables: _Tables, side: str):
 
 def path_subdivisions(path, polygon: Polygon, tie_break: str = "ydesc"):
     """Dual subdivisions realized by the path; one per successful branch pair."""
-    tables = _tables(polygon, tie_break)
+    tables = _shared_tables(polygon, tie_break)
     indices = _path_indices(path, tables)
     for tris_p, pars_p in _side_reductions(indices, tables, POSITIVE):
         for tris_n, pars_n in _side_reductions(indices, tables, NEGATIVE):

@@ -1,17 +1,21 @@
 """Template decomposition of degree-d floor diagrams and node polynomials.
 
 A template is a gap-free weighted graph block on vertices 0..l: no edge
-i -> i+1 of weight 1, and every inner vertex is bypassed or covered by
-some edge.  Deleting all weight-1 consecutive edges from a diagram (with
-its left ends merged into an extra vertex 0 of full out-degree d)
-decomposes it into templates with start positions; summing per-template
-data over valid positions reproduces the node counts
+i -> i+1 of weight 1, and every inner vertex is bypassed by some edge.
+Deleting all weight-1 consecutive edges from a diagram (with its left ends
+merged into an extra vertex 0 of full out-degree d) decomposes it into
+templates with start positions k; summing per-template data over valid
+positions reproduces the node counts
 
     N^delta(d) = sum over template sequences with total cogenus delta.
 
 Per placement the template contributes its squared edge factors and the
 number of orderings of its black vertices against the parallel weight-1
-edges inside its span, whose number per gap is determined by d.  The sum
+edges inside its span.  Gap v of a template at position k carries
+m - v - c_v such short edges, m = d - k and c_v the template's own weight
+across the gap, so that number depends on m alone.  Each template folds
+its edge classes once into a table {load vector: ways}, and the counts run
+as one transfer over (m, cogenus left), shared by every degree.  The sum
 runs on exact (rank, signature) pairs, multiplied componentwise; every end
 has weight one, so the count is p*H + q*<1>.
 """
@@ -21,8 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .floors import count_interleavings, edge_mult
+from .floors import _compositions, edge_mult
 from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]
@@ -56,38 +61,45 @@ class Template:
 
 
 def enumerate_templates(delta: int) -> tuple[Template, ...]:
-    """All templates of cogenus between 1 and delta.
+    """All templates of cogenus between 1 and delta, ordered by
+    (cogenus, length, edges).
 
-    Every edge costs (j-i)*w - 1 >= 1, and gap-freeness makes the spans
-    cover 1..l-1, so l <= delta + 1 and w <= delta + 1.
+    Blocks grow vertex by vertex: each vertex takes a multiset of outgoing
+    edges, each costing (j-i)*w - 1 >= 1 of the budget, and the block ends
+    at the first vertex past 0 that no edge bypasses.  Edges come in sorted
+    order, so every template is built once.
     """
-    if delta < 1:
-        return ()
     out = []
-    for length in range(1, delta + 2):
+    edges: list[Edge] = []
+
+    def extend(v: int, reach: int, budget: int):
+        # every edge out of 0..v-1 is chosen; reach is their farthest target
+        if v and reach == v:
+            out.append(Template(v, tuple(edges)))
+            return
         candidates = [
-            (i, j, w)
-            for i in range(length)
-            for j in range(i + 1, length + 1)
-            for w in range(1, delta + 2)
-            if (j - i, w) != (1, 1) and (j - i) * w - 1 <= delta
+            (v, j, w)
+            for j in range(v + 1, v + budget + 2)
+            for w in range(1, (budget + 1) // (j - v) + 1)
+            if (j - v, w) != (1, 1)
         ]
 
-        def rec(start: int, chosen: list[Edge], budget: int):
-            if chosen:
-                try:
-                    out.append(Template(length, tuple(chosen)))
-                except ValueError:
-                    pass
+        def pick(start: int, reach: int, budget: int):
+            if reach > v:
+                extend(v + 1, reach, budget)
             for idx in range(start, len(candidates)):
-                cost = (candidates[idx][1] - candidates[idx][0]) * candidates[idx][2] - 1
+                edge = candidates[idx]
+                cost = (edge[1] - v) * edge[2] - 1
                 if cost <= budget:
-                    chosen.append(candidates[idx])
-                    rec(idx, chosen, budget - cost)
-                    chosen.pop()
+                    edges.append(edge)
+                    pick(idx, max(reach, edge[1]), budget - cost)
+                    edges.pop()
 
-        rec(0, [], delta)
-    return tuple(sorted(set(out), key=lambda t: (t.cogenus, t.length, t.edges)))
+        pick(0, reach, budget)
+
+    if delta >= 1:
+        extend(0, 0, delta)
+    return tuple(sorted(out, key=lambda t: (t.cogenus, t.length, t.edges)))
 
 
 def template_mult(t: Template) -> tuple[int, int]:
@@ -106,81 +118,114 @@ def _crossings(t: Template) -> list[int]:
     ]
 
 
-def template_placement_data(t: Template, d: int):
-    """(k_min, k_max, nu) for placements of t in degree-d diagrams.
+def _load_table(t: Template) -> dict[tuple[int, ...], int]:
+    """{load vector: ways} of the template's black vertices in its gaps.
 
-    Vertex 0 of the ambient diagram only has weight-1 outgoing edges, so
-    k_min is 1 when vertex 0 of the template carries heavier ones.  The gap
-    after position p carries total weight d - p, so the template's
-    outgoing-plus-bypassing weight bounds k_max.  nu(k) counts orderings of
-    the template's black vertices inside its span, interleaved with the
-    parallel weight-1 edges filling each gap up to its flow.
+    Identical edges (i, j, w) form one class of interchangeable black
+    vertices in gaps i..j-1; the ways of a load vector count the orderings
+    inside each gap over all spreads of the classes that give those loads.
     """
-    k_min = 1 if any(i == 0 and w > 1 for i, _, w in t.edges) else 0
-    crossings = _crossings(t)
-    k_max = min(d - v - c for v, c in enumerate(crossings))
-    k_max = min(k_max, d - t.length)
+    table = {(0,) * t.length: 1}
+    for (i, j, _), count in Counter(t.edges).items():
+        grown: dict[tuple[int, ...], int] = {}
+        for loads, ways in table.items():
+            for comp in _compositions(count, j - i):
+                new = list(loads)
+                spread = ways
+                for gap, c in enumerate(comp, i):
+                    spread *= comb(new[gap] + c, c)
+                    new[gap] += c
+                key = tuple(new)
+                grown[key] = grown.get(key, 0) + spread
+        table = grown
+    return table
 
-    def nu(k: int) -> int:
-        if not (k_min <= k <= k_max):
-            return 0
-        classes = [
-            (i, j - 1, m) for (i, j, w), m in Counter(t.edges).items()
-        ]
-        for v, c in enumerate(crossings):
-            shorts = d - k - v - c
-            classes.append((v, v, shorts))
-        return count_interleavings(t.length, classes)
 
-    return k_min, k_max, nu
+def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
+    """(rank, signature) of the delta-node count for each degree.
+
+    A template at position k of a degree-d diagram leaves m = d - k of
+    flow, and its orderings with the short edges number
+
+        N_t(m) = sum over loads L of ways(L) * prod_v C(L_v + s_v, L_v),
+
+    s_v = m - v - c_v >= 0 short edges in gap v; so m >= m_min(t) =
+    max(length, v + c_v).  H[e][m] sums the sequences of total cogenus e
+    whose first template starts at flow m or below, each weighted by its
+    orderings and squared edge factors:
+
+        H[e][m] = H[e][m-1] + sum_t N_t(m) * mult_t^2 * H[e - cog_t][m - len_t]
+
+    with H[0][m] = (1, 1).  Vertex 0 of a diagram has only weight-1
+    outgoing edges, so a template with a heavier edge out of its vertex 0
+    may not start at k = 0, m = d; the count of degree d is H[delta][d]
+    less those placements.
+    """
+    top = max(degrees)
+    rows = []  # (cogenus, length, m_min, barred from k = 0, mult^2, N_t by m)
+    for t in enumerate_templates(delta):
+        crossings = _crossings(t)
+        m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
+        if m_min > top:
+            continue
+        table = _load_table(t).items()
+        orderings = [0] * (top + 1)
+        for m in range(m_min, top + 1):
+            shorts = [m - v - c for v, c in enumerate(crossings)]
+            total = 0
+            for loads, ways in table:
+                for load, s in zip(loads, shorts):
+                    if load:
+                        ways *= comb(load + s, load)
+                total += ways
+            orderings[m] = total
+        rank, signature = template_mult(t)
+        rows.append((
+            t.cogenus, t.length, m_min,
+            any(i == 0 and w > 1 for i, _, w in t.edges),
+            (rank * rank, signature * signature), orderings,
+        ))
+    H = [[(1, 1)] * (top + 1)]
+    for e in range(1, delta + 1):
+        row = [(0, 0)] * (top + 1)
+        rank = signature = 0
+        for m in range(top + 1):
+            for cog, length, m_min, _, (r2, s2), orderings in rows:
+                if cog <= e and m_min <= m:
+                    below_rank, below_signature = H[e - cog][m - length]
+                    n = orderings[m]
+                    rank += n * r2 * below_rank
+                    signature += n * s2 * below_signature
+            row[m] = (rank, signature)
+        H.append(row)
+    out = {}
+    for d in degrees:
+        rank, signature = H[delta][d]
+        for cog, length, m_min, heavy_start, (r2, s2), orderings in rows:
+            if heavy_start and m_min <= d:
+                below_rank, below_signature = H[delta - cog][d - length]
+                rank -= orderings[d] * r2 * below_rank
+                signature -= orderings[d] * s2 * below_signature
+        out[d] = (rank, signature)
+    return out
+
+
+def severi_by_templates_range(degrees, delta: int) -> dict[int, GWElement]:
+    """Node counts {d: N^delta(d)} for every degree d in ``degrees``.
+
+    The degrees share one template enumeration and one transfer table.
+    """
+    degrees = list(degrees)
+    if any(d < 1 for d in degrees) or delta < 0:
+        raise ValueError("need d >= 1 and delta >= 0")
+    if not degrees:
+        return {}
+    return {d: gw_from_pair(pair) for d, pair in _node_pairs(degrees, delta).items()}
 
 
 def severi_by_templates(d: int, delta: int) -> GWElement:
     """Node count via sequences of templates at valid start positions."""
-    if d < 1 or delta < 0:
-        raise ValueError("need d >= 1 and delta >= 0")
-    templates = enumerate_templates(delta)
-    by_cogenus: dict[int, list[Template]] = {}
-    for t in templates:
-        by_cogenus.setdefault(t.cogenus, []).append(t)
-
-    placements: dict[Template, tuple[int, int, object]] = {
-        t: template_placement_data(t, d) for t in templates
-    }
-
-    def sequences(remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for c in range(1, remaining + 1):
-            for t in by_cogenus.get(c, ()):
-                for rest in sequences(remaining - c):
-                    yield (t,) + rest
-
-    rank = signature = 0
-    for seq in sequences(delta):
-        seq_rank = seq_signature = 1
-        for t in seq:
-            r, s = template_mult(t)
-            seq_rank *= r * r
-            seq_signature *= s * s
-
-        def place(idx: int, k_start: int):
-            if idx == len(seq):
-                return 1
-            t = seq[idx]
-            k_min, k_max, nu = placements[t]
-            subtotal = 0
-            for k in range(max(k_start, k_min), k_max + 1):
-                n = nu(k)
-                if n:
-                    subtotal += n * place(idx + 1, k + t.length)
-            return subtotal
-
-        ways = place(0, 0)
-        rank += ways * seq_rank
-        signature += ways * seq_signature
-    return gw_from_pair((rank, signature))
+    return severi_by_templates_range((d,), delta)[d]
 
 
 # -- exact polynomial interpolation over the rationals ----------------------
@@ -280,8 +325,7 @@ def fit_node_polynomial(
     degree = 2 * delta
     top = d_start + degree + n_holdout
     values = []
-    for d in range(1, top + 1):
-        value = severi_by_templates(d, delta)
+    for d, value in severi_by_templates_range(range(1, top + 1), delta).items():
         if value.signature < 0:
             raise FitError(f"node count is not of the form p*H + q*<1>: {value}")
         values.append((d, (value.rank - value.signature) // 2, value.signature))

@@ -4,10 +4,12 @@ The package evaluates every count on (rank, signature) pairs and builds
 the GW(Q) element once at the end.  These evaluators compute the same
 counts directly in the Grothendieck-Witt ring, with the factor formulas of
 ``curves.triangle_mult``, so that the tests compare two independently
-computed values.  They reuse the package's enumerators of diagrams,
-markings, templates and their placements, but none of its value code; the
-lattice paths are enumerated here by brute force, with their own boundary
-chains and point-tuple walker.
+computed values.  They reuse the package's enumerators of diagrams and
+markings, but none of its value code.  The lattice paths are enumerated
+here by brute force, with their own boundary chains and point-tuple
+walker; the templates by filtering edge multisets through ``Template``,
+and each template sequence is placed on its own, with the orderings
+counted per placement.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from tropgw.ch import (
     weighted_partitions,
 )
 from tropgw.curves import triangle_mult
-from tropgw.floors import count_markings, enumerate_diagrams
+from tropgw.floors import count_interleavings, count_markings, enumerate_diagrams
 from tropgw.gw import ONE, ZERO, GWElement
 from tropgw.lattice import interior_points, lattice_length, normalized_area
 from tropgw.paths import NEGATIVE, POSITIVE, lambda_key
-from tropgw.templates import enumerate_templates, template_placement_data
+from tropgw.templates import Template
 
 
 def edge_factor(w: int) -> GWElement:
@@ -196,6 +198,66 @@ def delta_floor_count(d, g) -> GWElement:
 
 def severi_count(d, delta) -> GWElement:
     return delta_floor_count(d, max_genus(d) - delta)
+
+
+def enumerate_templates(delta):
+    """All templates of cogenus between 1 and delta, ordered by
+    (cogenus, length, edges): every multiset of edges within the budget
+    that ``Template`` accepts.  Every edge costs (j-i)*w - 1 >= 1, and the
+    spans cover 1..l-1, so l <= delta + 1 and w <= delta + 1."""
+    out = []
+    for length in range(1, delta + 2):
+        candidates = [
+            (i, j, w)
+            for i in range(length)
+            for j in range(i + 1, length + 1)
+            for w in range(1, delta + 2)
+            if (j - i, w) != (1, 1) and (j - i) * w - 1 <= delta
+        ]
+
+        def rec(start, chosen, budget):
+            if chosen:
+                try:
+                    out.append(Template(length, tuple(chosen)))
+                except ValueError:
+                    pass
+            for idx in range(start, len(candidates)):
+                i, j, w = candidates[idx]
+                cost = (j - i) * w - 1
+                if cost <= budget:
+                    chosen.append(candidates[idx])
+                    rec(idx, chosen, budget - cost)
+                    chosen.pop()
+
+        rec(0, [], delta)
+    return tuple(sorted(set(out), key=lambda t: (t.cogenus, t.length, t.edges)))
+
+
+def template_placement_data(t, d):
+    """(k_min, k_max, nu) for placements of t in degree-d diagrams.
+
+    Vertex 0 of the ambient diagram only has weight-1 outgoing edges, so
+    k_min is 1 when vertex 0 of the template carries heavier ones.  The gap
+    after position p carries total weight d - p, so the template's
+    outgoing-plus-bypassing weight bounds k_max.  nu(k) counts orderings of
+    the template's black vertices inside its span, interleaved with the
+    parallel weight-1 edges filling each gap up to its flow.
+    """
+    k_min = 1 if any(i == 0 and w > 1 for i, _, w in t.edges) else 0
+    crossings = [
+        sum(w for i, j, w in t.edges if i <= v < j) for v in range(t.length)
+    ]
+    k_max = min(min(d - v - c for v, c in enumerate(crossings)), d - t.length)
+
+    def nu(k):
+        if not (k_min <= k <= k_max):
+            return 0
+        classes = [(i, j - 1, m) for (i, j, w), m in Counter(t.edges).items()]
+        for v, c in enumerate(crossings):
+            classes.append((v, v, d - k - v - c))
+        return count_interleavings(t.length, classes)
+
+    return k_min, k_max, nu
 
 
 def template_mult(t) -> GWElement:

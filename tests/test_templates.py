@@ -15,8 +15,8 @@ from tropgw.templates import (
     poly_interpolate,
     poly_str,
     severi_by_templates,
+    severi_by_templates_range,
     template_mult,
-    template_placement_data,
 )
 
 
@@ -89,6 +89,13 @@ def test_enumerate_templates_against_brute_force():
     assert sum(1 for t in enumerate_templates(2) if t.cogenus == 2) == 7
 
 
+def test_enumerate_templates_matches_reference_enumerator():
+    # same templates in the same (cogenus, length, edges) order
+    for delta in range(6):
+        assert enumerate_templates(delta) == ref.enumerate_templates(delta), delta
+    assert len(enumerate_templates(5)) == 551
+
+
 def test_template_mult_examples():
     assert template_mult(Template(1, ((0, 1, 2),))) == (2, 0)
     assert template_mult(Template(1, ((0, 1, 3),))) == (3, 1)
@@ -101,14 +108,14 @@ def test_template_mult_examples():
 def test_placement_data():
     for d in (4, 5, 7):
         t = Template(1, ((0, 1, 2),))
-        k_min, k_max, nu = template_placement_data(t, d)
+        k_min, k_max, nu = ref.template_placement_data(t, d)
         assert (k_min, k_max) == (1, d - 2)
         assert nu(k_max) == 1  # no parallel weight-1 edges in the last slot
         assert [nu(k) for k in range(k_min, k_max + 1)] == list(
             range(d - 2, 0, -1)
         )
     t = Template(2, ((0, 2, 1),))
-    k_min, k_max, nu = template_placement_data(t, 5)
+    k_min, k_max, nu = ref.template_placement_data(t, 5)
     assert (k_min, k_max) == (0, 3)
     # black vertex interleaves with the bypassed floor and parallel edges
     assert [nu(k) for k in range(0, 4)] == [9, 7, 5, 3]
@@ -160,6 +167,33 @@ def test_rank_specialization():
             assert value.signature == expected.signature
 
 
+def test_four_nodes_match_reference():
+    # the transfer against the reference's walk over template sequences
+    for d in range(4, 9):
+        value = severi_by_templates(d, 4)
+        expected = ref.severi_by_templates(d, 4)
+        assert value.rank == expected.rank, d
+        assert value.signature == expected.signature, d
+
+
+def test_degree_range_matches_single_degrees():
+    for delta in range(4):
+        counts = severi_by_templates_range(range(1, 13), delta)
+        assert list(counts) == list(range(1, 13))
+        for d, value in counts.items():
+            single = severi_by_templates(d, delta)
+            assert (value.rank, value.signature) == (single.rank, single.signature)
+            assert value == single, (d, delta)
+    assert severi_by_templates_range((), 2) == {}
+    for bad in ((0, 3), (-1,)):
+        with pytest.raises(ValueError):
+            severi_by_templates_range(bad, 2)
+    with pytest.raises(ValueError):
+        severi_by_templates_range((3,), -1)
+    with pytest.raises(ValueError):
+        severi_by_templates(0, 1)
+
+
 def test_poly_interpolation():
     pts = [(x, x**3 - 2 * x + 1) for x in range(5)]
     coeffs = poly_interpolate(pts)
@@ -196,6 +230,27 @@ def test_fit_node_polynomial_examples():
         Fraction(1, 2),
     )
     assert fit2.threshold <= 2
+
+    fit3 = fit_node_polynomial(3)
+    assert fit3.hyperbolic_coeffs == (
+        Fraction(270),
+        Fraction(-214),
+        Fraction(-697, 6),
+        Fraction(213, 2),
+        Fraction(3),
+        Fraction(-27, 2),
+        Fraction(13, 6),
+    )
+    assert fit3.unit_coeffs == (
+        Fraction(-15),
+        Fraction(27, 2),
+        Fraction(10, 3),
+        Fraction(-3, 2),
+        Fraction(-3, 2),
+        Fraction(0),
+        Fraction(1, 6),
+    )
+    assert fit3.threshold == 3
 
 
 def test_fit_rejects_negative_arguments():

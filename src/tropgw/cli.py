@@ -225,6 +225,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    if args.dmax < 2:
+        _reject(f"--dmax {args.dmax} leaves no degree to check; it needs at least 2")
+    if args.gmin > ch.max_genus(args.dmax):
+        _reject(
+            f"--gmin {args.gmin} is above the maximal genus "
+            f"{ch.max_genus(args.dmax)} of degree {args.dmax}; nothing to check"
+        )
     rows = []
     failures = 0
     lines = []
@@ -307,6 +314,8 @@ def cmd_nodepoly(args) -> int:
 
 
 def cmd_wallcheck(args) -> int:
+    if args.trials < 1:
+        _reject(f"--trials {args.trials} checks nothing; it needs at least 1")
     rng = random.Random(args.seed)
     checked = skipped = failures = 0
     while checked < args.trials:
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     poly = sub.add_parser("nodepoly", help="fit node polynomials")
     poly.add_argument("--delta", type=int, required=True)
-    poly.add_argument("--max-delta", type=int, default=4)
+    poly.add_argument("--max-delta", type=int, default=6)
     poly.add_argument("--holdout", type=int, default=2)
     poly.add_argument("--format", default="plain", choices=("plain", "json", "csv"))
     poly.set_defaults(func=cmd_nodepoly)

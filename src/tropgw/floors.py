@@ -23,6 +23,19 @@ fits S; the marking count caps every gap at the diagram's own flow with no
 shortfall allowed, which leaves exactly the attachments that give every
 floor divergence k, and counts the vertex orders of each.
 
+Counts without right ends (every plane curve count, the relative counts
+with free left ends, left-end-only Hirzebruch counts) skip the diagrams:
+one transfer, ``_sweep``, runs through gap 0, floor 1, gap 1, ...,
+floor a and sums nu(D) * mult(D) over all diagrams at once.  Its state
+holds only counts of ends and edges, not yet placed or not yet given a
+floor, so diagrams that agree on them share one entry.  Counts with right
+ends, or restricted to connected curves (which the state cannot see),
+walk the diagrams one by one: heavy, distinct end weights (the Hirzebruch
+rays) give every state its own entry, so a transfer would share nothing
+there and only add its bookkeeping.  Where states do merge, the gain is
+large: ``severi_count(8, 8)`` takes 74 s by the walker and 0.1 s by the
+transfer (Python 3.11, 2 CPUs).
+
 The curve counted by a marked diagram has one trivalent vertex per
 floor/edge incidence, and the dual triangle of that vertex has area equal
 to the edge weight.  Its quadratic-form multiplicity is therefore the
@@ -272,6 +285,168 @@ def enumerate_diagrams(
     return diagrams
 
 
+def _takes(items, need: int, ordered: bool):
+    """Every way to take x_i <= n_i items of each class (w_i, n_i) in
+    ``items`` whose taken weight sum(w_i * x_i) is at least ``need``.
+
+    Returns (xs, weight, ways) triples.  ``ways`` is the number of
+    orderings (sum x_i)! / prod(x_i!) of the taken items in one gap if
+    ``ordered``, else the number prod C(n_i, x_i) of subsets taken.
+    """
+    reach = [0] * (len(items) + 1)  # reach[i]: the weight of classes i, i+1, ...
+    for i in range(len(items) - 1, -1, -1):
+        reach[i] = reach[i + 1] + items[i][0] * items[i][1]
+    found = []
+
+    def take(i: int, xs: tuple, weight: int, load: int, ways: int):
+        if i == len(items):
+            found.append((xs, weight, ways))
+            return
+        w, n = items[i]
+        for x in range(max(0, -((weight + reach[i + 1] - need) // w)), n + 1):
+            step = comb(load + x, x) if ordered else comb(n, x)
+            take(i + 1, xs + (x,), weight + w * x, load + x, ways * step)
+
+    take(0, (), 0, 0, 1)
+    return found
+
+
+def _edge_splits(total: int, top: int, fewest: int, most: int):
+    """The multisets of between ``fewest`` and ``most`` weights, each at
+    most ``top``, that sum to ``total``: tuples of classes (w, n), w
+    decreasing."""
+    if total == 0:
+        if fewest <= 0:
+            yield ()
+        return
+    for w in range(min(total, top), 0, -1):
+        if total > w * most:  # lighter weights need even more parts
+            return
+        for n in range(min(total // w, most), 0, -1):
+            rest = total - w * n
+            if rest > (w - 1) * (most - n) or rest < fewest - n:
+                continue
+            for tail in _edge_splits(rest, w - 1, fewest - n, most - n):
+                yield ((w, n),) + tail
+
+
+def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
+    """(rank, signature) of sum nu(D) * mult(D) over every diagram with
+    left ends ``w_left``, no right ends and a + g - 1 edges.
+
+    One transfer runs through gap 0, floor 1, gap 1, ..., floor a, and
+    counts the orders of the markings of every diagram at once.  A state
+    is (unplaced, placed, strands, waiting, started): per left weight, the
+    left ends whose black vertex is not yet placed and the placed ones
+    whose floor is not yet chosen; per weight, the placed black vertices
+    of edges whose target is not yet chosen; the classes (w, n) of edges
+    started at one floor whose black vertex is not yet placed (edges from
+    different floors are different classes, so each class is kept apart,
+    though not its floor); and the number of edges started.
+
+    A gap places items, in load! / prod(n!) orders.  A floor picks the
+    left ends it takes and the edges that end on it among the placed ones:
+    picking C(placed, m) of them, gap by gap, counts every labelling of
+    the placed items once (Vandermonde).  It then starts edges whose
+    weights partition its out-flow, at (w^2, w mod 2) each.  With
+    cap_q = (a - q) * k the most flow gap q carries, the edges started
+    at floors 1..v are at least sum(cap_q, q <= v) - S, where S is the
+    ``enumerate_diagrams`` budget, and at most a + g - 1; at floor a - 1
+    the two bounds meet.  After floor v the edges not yet ended and the
+    left ends not yet on a floor weigh (a - v) * k, so the gap before
+    floor a, which must hand floor a at least k, places everything, and
+    floor a ends every state with divergence k and no edge to start.
+    """
+    n_edges = a + g - 1
+    budget = k * a * (a - 1) // 2 - n_edges
+    if n_edges < 0 or budget < 0:
+        return 0, 0
+    n_left = Counter(w_left)
+    weights = sorted(n_left)
+    starts = {}  # (out-flow, fewest, most) -> [(classes, #edges, rank, signature)]
+
+    def start_edges(out: int, fewest: int, most: int):
+        key = (out, fewest, most)
+        if key not in starts:
+            starts[key] = []
+            for classes in _edge_splits(out, out, fewest, most):
+                rank = signature = 1
+                for w, n in classes:
+                    rank *= w ** (2 * n)
+                    signature *= (w % 2) ** n
+                parts = sum(n for _, n in classes)
+                starts[key].append((classes, parts, rank, signature))
+        return starts[key]
+
+    n_weights = len(weights)
+    start = (tuple(n_left[w] for w in weights), (0,) * n_weights, (), (), 0)
+    states = {start: (1, 1)}
+    least = -budget  # sum(cap_q, q <= v) - S: the fewest edges floors 1..v start
+    for v in range(a):
+        if v:  # floor v
+            least += (a - v) * k
+            after = {}
+            for (unplaced, placed, strands, waiting, started), (r, s) in states.items():
+                fewest, most = max(least - started, 0), n_edges - started
+                items = list(zip(weights, placed)) + list(strands)
+                for xs, inflow, ways in _takes(items, k + fewest, False):
+                    left = tuple(n - x for n, x in zip(placed, xs))
+                    kept = tuple(
+                        (w, n - x)
+                        for (w, n), x in zip(strands, xs[n_weights:])
+                        if n > x
+                    )
+                    for classes, parts, rank, signature in start_edges(
+                        inflow - k, fewest, most
+                    ):
+                        key = (
+                            unplaced,
+                            left,
+                            kept,
+                            tuple(sorted(waiting + classes)),
+                            started + parts,
+                        )
+                        old_r, old_s = after.get(key, (0, 0))
+                        after[key] = (
+                            old_r + r * ways * rank,
+                            old_s + s * ways * signature,
+                        )
+            states = after
+        # gap v
+        after = {}
+        for (unplaced, placed, strands, waiting, started), (r, s) in states.items():
+            # floor v + 1 takes k plus one unit per edge it must start
+            held = sum(w * n for w, n in zip(weights, placed))
+            held += sum(w * n for w, n in strands)
+            fewest = max(least + (a - v - 1) * k - started, 0)
+            items = list(zip(weights, unplaced)) + list(waiting)
+            for xs, _, ways in _takes(items, k + fewest - held, True):
+                merged = dict(strands)
+                rest = []
+                for (w, n), x in zip(waiting, xs[n_weights:]):
+                    if x:
+                        merged[w] = merged.get(w, 0) + x
+                    if n > x:
+                        rest.append((w, n - x))
+                key = (
+                    tuple(n - x for n, x in zip(unplaced, xs)),
+                    tuple(n + x for n, x in zip(placed, xs)),
+                    tuple(sorted(merged.items())),
+                    tuple(sorted(rest)),
+                    started,
+                )
+                old_r, old_s = after.get(key, (0, 0))
+                after[key] = (old_r + r * ways, old_s + s * ways)
+        states = after
+    # floor a takes the weight k left, so every state ends here
+    rank = sum(r for r, _ in states.values())
+    signature = sum(s for _, s in states.values())
+    for w in w_left:
+        rank *= w
+        signature *= w % 2
+    return rank, signature
+
+
 def floor_count(
     k: int,
     a: int,
@@ -288,12 +463,20 @@ def floor_count(
     horizontal lines: each pairs a left with an equal-weight right end,
     meets one point, and multiplies the count by <w^2> = <1>.
     ``connected=True`` restricts to connected single-component curves.
+
+    Without right ends (and with ``connected`` False) every diagram is
+    summed at once by the gap-by-gap transfer ``_sweep``; otherwise each
+    diagram is enumerated and its markings counted.
     """
     w_left, w_right = tuple(w_left), tuple(w_right)
     if a < 1:
         raise ValueError("need at least one floor")
     if any(w < 1 for w in w_left + w_right):
         raise ValueError("end weights must be positive")
+    if sum(w_left) != a * k + sum(w_right):
+        raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
+    if not w_right and not connected:
+        return gw_from_pair(_sweep(k, a, w_left, g), w_left)
     rank = signature = 0
     n_left, n_right = Counter(w_left), Counter(w_right)
     shared = n_left & n_right

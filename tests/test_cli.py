@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tropgw
-from tropgw import ch
+from tropgw import ch, templates
 from tropgw.cli import main
 from tropgw.gw import ONE
 
@@ -174,6 +174,20 @@ def test_crosscheck_failure_shows_every_method(capsys, monkeypatch):
     ) in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("crosscheck", "--dmax", "1"),
+    ("crosscheck", "--dmax", "3", "--gmin", "2"),
+    ("wallcheck", "--trials", "0"),
+    ("wallcheck", "--trials", "-1"),
+])
+def test_empty_checks_are_errors(argv):
+    # a check that compares nothing must not report a pass
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 def test_crosscheck_csv(capsys):
     code, out = run_cli(capsys, "crosscheck", "--dmax", "2", "--format", "csv")
     assert code == 0
@@ -194,7 +208,17 @@ def test_nodepoly(capsys):
 def test_nodepoly_budget(capsys):
     with pytest.raises(SystemExit):
         main(["nodepoly", "--delta", "9"])
-    assert capsys.readouterr().err == "error: delta 9 above the configured budget 4\n"
+    assert capsys.readouterr().err == "error: delta 9 above the configured budget 6\n"
+
+
+def test_nodepoly_delta_five_within_default_budget():
+    proc = run_cli_process("nodepoly", "--delta", "5", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    fit = templates.fit_node_polynomial(5)
+    out = json.loads(proc.stdout)
+    assert out["hyperbolic"] == [str(c) for c in fit.hyperbolic_coeffs]
+    assert out["unit"] == [str(c) for c in fit.unit_coeffs]
+    assert out["threshold"] == fit.threshold
 
 
 def test_nodepoly_negative_holdout_is_an_error():

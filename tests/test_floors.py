@@ -380,6 +380,11 @@ WEIGHTED_FLOOR_CASES = [
     (2, 3, (7, 3, 1), (5,), 0),
     (1, 2, (5, 1), (3, 1), 0),
     (1, 1, (3,), (1, 1), 0),
+    # no right ends: the gap-by-gap transfer against the per-diagram walk
+    (1, 3, (3,), (), 0),
+    (2, 3, (5, 1), (), 0),
+    (3, 1, (3,), (), 0),
+    (2, 2, (3, 1), (), 0),
 ]
 
 
@@ -393,7 +398,42 @@ def test_weighted_floor_counts_match_gw_reference():
         assert value.signature == expected.signature
         if expected.signature and square_free(prod(wl) * prod(wr)) != 1:
             nonsquare += 1
-    assert nonsquare >= 4
+    assert nonsquare >= 8
+
+
+def walker_pair(k, a, w_left, g):
+    """(rank, signature) of the count, one diagram and its markings at a time."""
+    rank = signature = 0
+    for diagram in enumerate_diagrams(k, a, g, w_left, ()):
+        nu = count_markings(diagram, w_left, ())
+        r, s = marked_mult(diagram, w_left, ())
+        rank += nu * r
+        signature += nu * s
+    return rank, signature
+
+
+def test_transfer_matches_walker_on_plane_curves():
+    cases = [(d, g) for d in range(1, 6) for g in range(-2, max_genus(d) + 1)]
+    cases += [(6, max_genus(6) - delta) for delta in range(5)]
+    for d, g in cases:
+        assert pair(delta_floor_count(d, g)) == walker_pair(1, d, (1,) * d, g), (d, g)
+
+
+def test_severi_count_without_the_per_diagram_cliff():
+    # one diagram at a time, (8, 8) took over a minute; the transfer takes
+    # well under a second
+    for delta in (6, 8):
+        expected = ch_count(8, max_genus(8) - delta)
+        assert gw_equal(severi_count(8, delta), expected), delta
+
+
+def test_floor_count_errors_without_right_ends():
+    with pytest.raises(ValueError, match="sum"):
+        floor_count(1, 2, (1,), (), 0)
+    with pytest.raises(ValueError, match="floor"):
+        floor_count(1, 0, (), (), 0)
+    with pytest.raises(ValueError, match="positive"):
+        floor_count(1, 2, (3, -1), (), 0)
 
 
 def test_relative_recursion_matches_floor_count():

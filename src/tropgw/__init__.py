@@ -38,12 +38,8 @@ from .gw import (
 )
 from .lattice import (
     DualSubdivision,
-    NewtonFan,
     Polygon,
-    delta_fan,
     delta_polygon,
-    dual_polygon,
-    hirzebruch_fan,
     hirzebruch_polygon,
     interior_points,
     lattice_length,

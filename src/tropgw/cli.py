@@ -227,6 +227,12 @@ def cmd_count(args) -> int:
 def cmd_crosscheck(args) -> int:
     if args.dmax < 2:
         _reject(f"--dmax {args.dmax} leaves no degree to check; it needs at least 2")
+    # degree 2 is always checked, and its lattice paths take 3*2 + g - 1 >= 1 steps
+    if args.gmin < -4:
+        _reject(
+            f"--gmin {args.gmin} is below -4, the least genus with a lattice "
+            "path in degree 2"
+        )
     if args.gmin > ch.max_genus(args.dmax):
         _reject(
             f"--gmin {args.gmin} is above the maximal genus "

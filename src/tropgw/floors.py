@@ -100,13 +100,6 @@ class FloorDiagram:
             parent[find(i)] = find(j)
         return len({find(v) for v in range(1, self.floors + 1)}) == 1
 
-    def to_json(self) -> dict:
-        return {
-            "floors": self.floors,
-            "k": self.k,
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 def edge_mult(w: int) -> tuple[int, int]:
     """(rank, signature) of the edge factor of weight w."""

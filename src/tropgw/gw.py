@@ -72,7 +72,8 @@ class GWElement:
     ``terms`` maps square-free representatives to integer multiplicities
     (negative multiplicities encode virtual summands).  Structural ``==``
     compares this normal form only; use :func:`gw_equal` for equality in
-    the Grothendieck-Witt ring.
+    the Grothendieck-Witt ring.  An element is falsy exactly when it is 0
+    in GW(Q).
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -119,7 +120,7 @@ class GWElement:
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return not gw_equal(self, ZERO)
 
     def __str__(self) -> str:
         return render(self)

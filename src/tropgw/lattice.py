@@ -1,16 +1,12 @@
-"""Lattice polygons, Newton fans and dual subdivisions.
+"""Lattice polygons and dual subdivisions.
 
 Points are plain integer pairs.  Areas are normalized (twice Euclidean),
-so the unit triangle has area 1.  A Newton fan is a balanced multiset of
-nonzero integer vectors; its dual polygon is obtained by rotating the
-aggregated direction vectors by 90 degrees and chaining them in angular
-order, anchored so the lexicographically least vertex sits at the origin.
+so the unit triangle has area 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import gcd
 
 Point = tuple[int, int]
@@ -46,87 +42,6 @@ def primitive(v: Point) -> tuple[Point, int]:
         raise ValueError("zero vector has no direction")
     g = gcd(abs(v[0]), abs(v[1]))
     return (v[0] // g, v[1] // g), g
-
-
-def _angle_cmp(u: Point, v: Point) -> int:
-    def half(w: Point) -> int:
-        return 0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return hu - hv
-    cr = u[0] * v[1] - u[1] * v[0]
-    return 0 if cr == 0 else (-1 if cr > 0 else 1)
-
-
-@dataclass(frozen=True)
-class NewtonFan:
-    """Multiset of nonzero integer vectors with zero weighted sum.
-
-    Entries are ((x, y), multiplicity); a non-primitive vector encodes an
-    end of higher weight.
-    """
-
-    entries: tuple[tuple[Point, int], ...]
-
-    def __post_init__(self):
-        sx = sy = 0
-        for v, m in self.entries:
-            if v == (0, 0):
-                raise ValueError("fan contains the zero vector")
-            if m < 1:
-                raise ValueError("fan multiplicities must be positive")
-            sx += v[0] * m
-            sy += v[1] * m
-        if (sx, sy) != (0, 0):
-            raise ValueError(f"unbalanced fan, weighted sum ({sx}, {sy})")
-
-    @staticmethod
-    def from_vectors(vectors) -> "NewtonFan":
-        d: dict[Point, int] = {}
-        for v in vectors:
-            v = (int(v[0]), int(v[1]))
-            d[v] = d.get(v, 0) + 1
-        return NewtonFan(tuple(sorted(d.items())))
-
-    @property
-    def num_ends(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def end_weights(self) -> tuple[int, ...]:
-        out = []
-        for v, m in self.entries:
-            _, w = primitive(v)
-            out.extend([w] * m)
-        return tuple(sorted(out))
-
-
-def delta_fan(d: int) -> NewtonFan:
-    """Fan of degree-d plane curves: d each of (-1,0), (0,-1), (1,1)."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    return NewtonFan((((-1, 0), d), ((0, -1), d), ((1, 1), d)))
-
-
-def hirzebruch_fan(k: int, a: int, w_left, w_right) -> NewtonFan:
-    """Fan with a ends (0,-1), a ends (k,1), left ends (-1,0) of weights
-    w_left and right ends (1,0) of weights w_right.
-
-    Balance forces sum(w_left) = a*k + sum(w_right).
-    """
-    if k < 0 or a < 1:
-        raise ValueError("need k >= 0 and a >= 1")
-    w_left, w_right = tuple(w_left), tuple(w_right)
-    if any(w < 1 for w in w_left + w_right):
-        raise ValueError("end weights must be positive")
-    if sum(w_left) != a * k + sum(w_right):
-        raise ValueError(
-            f"unbalanced weights: sum(w_left)={sum(w_left)} != "
-            f"a*k + sum(w_right)={a * k + sum(w_right)}"
-        )
-    vectors = [(0, -1)] * a + [(k, 1)] * a
-    vectors += [(-w, 0) for w in w_left]
-    vectors += [(w, 0) for w in w_right]
-    return NewtonFan.from_vectors(vectors)
 
 
 @dataclass(frozen=True)
@@ -204,27 +119,6 @@ class Polygon:
         ]
 
 
-def dual_polygon(fan: NewtonFan) -> Polygon:
-    """Polygon whose oriented boundary edges are the rotated fan vectors."""
-    weights: dict[Point, int] = {}
-    for v, m in fan.entries:
-        d, w = primitive(v)
-        weights[d] = weights.get(d, 0) + w * m
-    edges = sorted(
-        (((-d[1], d[0]), w) for d, w in weights.items()),
-        key=cmp_to_key(lambda a, b: _angle_cmp(a[0], b[0])),
-    )
-    pts = [(0, 0)]
-    for (ex, ey), w in edges:
-        x, y = pts[-1]
-        pts.append((x + w * ex, y + w * ey))
-    if pts[-1] != pts[0]:
-        raise ValueError("fan does not close up")
-    pts.pop()
-    anchor = min(pts)
-    return Polygon.from_vertices([(x - anchor[0], y - anchor[1]) for x, y in pts])
-
-
 def delta_polygon(d: int) -> Polygon:
     return Polygon.from_vertices([(0, 0), (d, 0), (0, d)])
 
@@ -251,12 +145,6 @@ class DualSubdivision:
         s = sum(normalized_area(*t) for t in self.triangles)
         s += sum(2 * normalized_area(*q) for q in self.parallelograms)
         return s
-
-    def to_json(self) -> dict:
-        return {
-            "triangles": [[list(p) for p in t] for t in self.triangles],
-            "parallelograms": [[list(p) for p in q] for q in self.parallelograms],
-        }
 
     def edge_lengths(self) -> list[int]:
         out = []

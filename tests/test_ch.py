@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -9,7 +10,6 @@ import tropgw
 from tropgw.ch import (
     ch_count,
     max_genus,
-    memo_snapshot,
     seq_binom,
     seq_stats,
     trim,
@@ -115,15 +115,30 @@ def test_relative_counts_small():
     assert value.rank == 1
 
 
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter, so the memo holds only what it counts."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tropgw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tropgw import ch\n" + code],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_memo_keys_are_canonical():
     # inputs with a trailing zero are trimmed where they enter; the
     # recursion must not build a key with one either
-    for d in range(1, 8):
-        for ia in range(d + 1):
-            for alpha in weighted_partitions(ia):
-                for beta in weighted_partitions(d - ia):
-                    ch_count(d, 0, alpha + (0,), beta + (0,))
-    keys = memo_snapshot()
+    out = run_fresh(
+        "for d in range(1, 8):\n"
+        "    for ia in range(d + 1):\n"
+        "        for alpha in ch.weighted_partitions(ia):\n"
+        "            for beta in ch.weighted_partitions(d - ia):\n"
+        "                ch.ch_count(d, 0, alpha + (0,), beta + (0,))\n"
+        "print(repr(sorted(ch.memo_snapshot())))\n"
+    )
+    keys = ast.literal_eval(out)
     assert len(keys) == 246
     for d, alpha, beta in keys:
         for seq in (alpha, beta):
@@ -132,15 +147,8 @@ def test_memo_keys_are_canonical():
 
 
 def test_memo_size_in_a_fresh_process():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tropgw.__file__)))
-    code = (
-        "from tropgw import ch\n"
+    out = run_fresh(
         "ch.ch_count(7, 0); print(len(ch.memo_snapshot()))\n"
         "ch.ch_count(9, 0); print(len(ch.memo_snapshot()))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["144", "441"]
+    assert out.split() == ["144", "441"]

@@ -154,6 +154,9 @@ def test_crosscheck(capsys):
     assert code == 0
     assert "d=3 g=0: 2ℍ + 8⟨1⟩ [PASS]" in out
     assert "result: PASS" in out
+    code, out = run_cli(capsys, "crosscheck", "--dmax", "2", "--gmin", "-4")
+    assert code == 0
+    assert "d=2 g=-4: " in out and "result: PASS" in out
 
 
 def test_crosscheck_failure_shows_every_method(capsys, monkeypatch):
@@ -179,6 +182,7 @@ def test_crosscheck_failure_shows_every_method(capsys, monkeypatch):
     ("crosscheck", "--dmax", "3", "--gmin", "2"),
     ("wallcheck", "--trials", "0"),
     ("wallcheck", "--trials", "-1"),
+    ("crosscheck", "--dmax", "2", "--gmin", "-5"),
 ])
 def test_empty_checks_are_errors(argv):
     # a check that compares nothing must not report a pass
@@ -186,6 +190,7 @@ def test_empty_checks_are_errors(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert " ".join(argv[-2:]) in proc.stderr
 
 
 def test_crosscheck_csv(capsys):

@@ -107,11 +107,6 @@ def test_diagram_validation():
     assert not FloorDiagram(3, 1, ((1, 2, 1),)).is_connected()
 
 
-def test_diagram_json_dump():
-    d = FloorDiagram(3, 1, ((1, 2, 2), (2, 3, 1)))
-    assert d.to_json() == {"floors": 3, "k": 1, "edges": [[1, 2, 2], [2, 3, 1]]}
-
-
 def pair(x):
     return x.rank, x.signature
 

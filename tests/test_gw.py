@@ -200,6 +200,15 @@ def test_gw_equal_examples():
     assert not gw_equal(diag(2), diag(3))
 
 
+def test_truth_is_ring_nonzero():
+    x = diag(2, 2) - diag(1, 1)
+    assert x.terms and gw_equal(x, ZERO)
+    assert not x
+    assert not ZERO
+    assert H and ONE
+    assert diag(2) - diag(3)
+
+
 def test_sum_relation_bulk_randomized():
     rng = random.Random(20240)
     checked = 0

@@ -14,6 +14,12 @@ forms, and its genera lie in 1 - 2d - |beta| .. max_genus(d), where the
 recursion can count anything.  The file is written back only when the
 command added entries or the load warned.  A cache that cannot be written
 is an error (exit status 2).
+
+A process imports at module level only what every command needs: the
+recursion (``ch``) and the GW(Q) arithmetic (``gw``), which also serve the
+cache.  Each command imports the layers it runs when it runs, so that
+``count --method ch`` loads neither the lattice nor the floor, path,
+template or curve layers.
 """
 
 from __future__ import annotations
@@ -23,15 +29,10 @@ import contextlib
 import errno
 import json
 import os
-import random
 import sys
-import tempfile
-from typing import NoReturn
 
-from . import ch, floors, paths, templates
-from .curves import random_star, resolve_wall
+from . import ch
 from .gw import GWElement, gw_equal, gw_from_pair, gw_to_json, render
-from .lattice import delta_polygon, hirzebruch_polygon
 
 CACHE_ENV = "TROPGW_CACHE"
 CACHE_VERSION = 3
@@ -41,6 +42,14 @@ def _parse_weights(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
     return tuple(map(int, text.split(",")))
+
+
+def _weights_flag(flag: str, text: str | None) -> tuple[int, ...]:
+    """The weights given to ``flag``; an argument error unless they parse."""
+    try:
+        return _parse_weights(text)
+    except ValueError:
+        _reject(f"{flag} {text!r} is not a comma separated list of integers")
 
 
 def _cache_path(args) -> str | None:
@@ -114,6 +123,8 @@ def _save_cache(path: str | None) -> bool:
     """Write the memo to ``path``; False, with an error line, if that fails."""
     if not path:
         return True
+    import tempfile
+
     entries = {}
     for (d, alpha, beta), (g_lo, ranks, signatures) in ch.memo_snapshot().items():
         name = ":".join((str(d), ",".join(map(str, alpha)), ",".join(map(str, beta))))
@@ -166,8 +177,9 @@ def _result_row(args, method: str, g_or_delta, value: GWElement, d=None) -> dict
     }
 
 
-def _reject(message: str) -> NoReturn:
-    """End a command whose arguments do not fit together, as argparse does."""
+def _reject(message: str):
+    """End a command whose arguments do not fit together, as argparse does:
+    one ``error:`` line and SystemExit(2)."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -184,19 +196,22 @@ def cmd_count(args) -> int:
         _reject("--connected is only supported by --method floor")
     if method != "latticepath" and args.tie_break is not None:
         _reject("--tie-break is only supported by --method latticepath")
+    wl, wr = _weights_flag("--wl", args.wl), _weights_flag("--wr", args.wr)
     if method == "ch":
         if args.d is None:
             _reject("--method ch needs --d")
-        alpha = _parse_weights(args.alpha)
-        beta = _parse_weights(args.beta) if args.beta else None
+        alpha = _weights_flag("--alpha", args.alpha)
+        beta = _weights_flag("--beta", args.beta) if args.beta else None
         value = ch.ch_count(args.d, args.g, alpha, beta)
     elif method == "latticepath":
+        from . import paths
+        from .lattice import delta_polygon, hirzebruch_polygon
+
         if args.d is not None:
             polygon = delta_polygon(args.d)
         else:
             k, a = args.k or 0, 1 if args.a is None else args.a
-            wl = _parse_weights(args.wl) or (1,) * (a * k + len(_parse_weights(args.wr)))
-            wr = _parse_weights(args.wr)
+            wl = wl or (1,) * (a * k + len(wr))
             if any(w != 1 for w in wl + wr):
                 _reject(
                     "the lattice path method only supports weight-1 ends; "
@@ -211,12 +226,13 @@ def cmd_count(args) -> int:
         tie_break = args.tie_break or "ydesc"
         value = paths.count_lattice_path(polygon, args.g, tie_break=tie_break)
     else:
+        from . import floors
+
         if args.d is not None:
             value = floors.delta_floor_count(args.d, args.g, connected=args.connected)
         else:
             if args.k is None or args.a is None:
                 _reject("--method floor needs --d or both --k and --a")
-            wl, wr = _parse_weights(args.wl), _parse_weights(args.wr)
             value = floors.floor_count(
                 args.k, args.a, wl, wr, args.g, connected=args.connected
             )
@@ -225,6 +241,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from . import floors, paths
+    from .lattice import delta_polygon
+
     if args.dmax < 2:
         _reject(f"--dmax {args.dmax} leaves no degree to check; it needs at least 2")
     # degree 2 is always checked, and its lattice paths take 3*2 + g - 1 >= 1 steps
@@ -284,6 +303,8 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_nodepoly(args) -> int:
+    from . import templates
+
     if args.delta > args.max_delta:
         _reject(f"delta {args.delta} above the configured budget {args.max_delta}")
     fit = templates.fit_node_polynomial(args.delta, n_holdout=args.holdout)
@@ -320,6 +341,10 @@ def cmd_nodepoly(args) -> int:
 
 
 def cmd_wallcheck(args) -> int:
+    import random
+
+    from .curves import random_star, resolve_wall
+
     if args.trials < 1:
         _reject(f"--trials {args.trials} checks nothing; it needs at least 1")
     rng = random.Random(args.seed)

@@ -10,7 +10,6 @@ relevant primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
 
@@ -65,7 +64,6 @@ def _term_key(item: tuple[int, int]) -> tuple[int, int]:
     return (abs(rep), 0 if rep > 0 else 1)
 
 
-@dataclass(frozen=True)
 class GWElement:
     """Virtual quadratic form over Q, canonical up to square classes.
 
@@ -73,10 +71,33 @@ class GWElement:
     (negative multiplicities encode virtual summands).  Structural ``==``
     compares this normal form only; use :func:`gw_equal` for equality in
     the Grothendieck-Witt ring.  An element is falsy exactly when it is 0
-    in GW(Q).
+    in GW(Q).  Elements are immutable and hash by ``terms``.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to GWElement.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete GWElement.{name}")
+
+    def __reduce__(self):
+        return GWElement, (self.terms,)
+
+    def __repr__(self) -> str:
+        return f"GWElement(terms={self.terms!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GWElement):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "GWElement":

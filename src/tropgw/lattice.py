@@ -141,11 +141,6 @@ class DualSubdivision:
     triangles: tuple[tuple[Point, Point, Point], ...]
     parallelograms: tuple[tuple[Point, Point, Point], ...] = ()
 
-    def piece_area2(self) -> int:
-        s = sum(normalized_area(*t) for t in self.triangles)
-        s += sum(2 * normalized_area(*q) for q in self.parallelograms)
-        return s
-
     def edge_lengths(self) -> list[int]:
         out = []
         for a, b, c in self.triangles:
@@ -154,41 +149,3 @@ class DualSubdivision:
             out += [lattice_length(a, b), lattice_length(b, c)] * 2
         return out
 
-
-def boundary_end_weights(sub: DualSubdivision, polygon: Polygon) -> tuple[int, ...]:
-    """Lattice lengths of the subdivision edges lying on the polygon boundary."""
-
-    def within(a: Point, b: Point, p: Point) -> bool:
-        return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(
-            a[1], b[1]
-        ) <= p[1] <= max(a[1], b[1])
-
-    def on_boundary(p: Point, q: Point) -> bool:
-        for a, b in polygon.edges():
-            d = (b[0] - a[0], b[1] - a[1])
-            if (
-                (p[0] - a[0]) * d[1] == (p[1] - a[1]) * d[0]
-                and (q[0] - a[0]) * d[1] == (q[1] - a[1]) * d[0]
-                and within(a, b, p)
-                and within(a, b, q)
-            ):
-                return True
-        return False
-
-    seen: dict[tuple[Point, Point], int] = {}
-    for tri in sub.triangles:
-        corners = list(tri)
-        for i in range(3):
-            p, q = corners[i], corners[(i + 1) % 3]
-            key = (min(p, q), max(p, q))
-            seen[key] = seen.get(key, 0) + 1
-    for a, b, c in sub.parallelograms:
-        d = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-        for p, q in ((a, b), (b, c), (c, d), (d, a)):
-            key = (min(p, q), max(p, q))
-            seen[key] = seen.get(key, 0) + 1
-    out = []
-    for (p, q), mult in seen.items():
-        if mult == 1 and on_boundary(p, q):
-            out.append(lattice_length(p, q))
-    return tuple(sorted(out))

@@ -9,7 +9,9 @@ markings, but none of its value code.  The lattice paths are enumerated
 here by brute force, with their own boundary chains and point-tuple
 walker; the templates by filtering edge multisets through ``Template``,
 and each template sequence is placed on its own, with the orderings
-counted per placement.
+counted per placement.  The checks of an explicit dual subdivision
+against its polygon (area and boundary end weights) live here too, as only
+tests build subdivisions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from tropgw.ch import (
 from tropgw.curves import triangle_mult
 from tropgw.floors import count_interleavings, count_markings, enumerate_diagrams
 from tropgw.gw import ONE, ZERO, GWElement
-from tropgw.lattice import interior_points, lattice_length, normalized_area
+from tropgw.lattice import (
+    DualSubdivision,
+    Polygon,
+    interior_points,
+    lattice_length,
+    normalized_area,
+)
 from tropgw.paths import NEGATIVE, POSITIVE, lambda_key
 from tropgw.templates import Template
 
@@ -90,6 +98,55 @@ def _ch(d, g, alpha, beta) -> GWElement:
                 )
     _ch_memo[key] = total
     return total
+
+
+# -- dual subdivisions ----------------------------------------------------
+
+
+def piece_area2(sub: DualSubdivision) -> int:
+    """Twice the area covered by the subdivision's triangles and parallelograms."""
+    s = sum(normalized_area(*t) for t in sub.triangles)
+    s += sum(2 * normalized_area(*q) for q in sub.parallelograms)
+    return s
+
+
+def boundary_end_weights(sub: DualSubdivision, polygon: Polygon) -> tuple[int, ...]:
+    """Lattice lengths of the subdivision edges lying on the polygon boundary."""
+
+    def within(a, b, p) -> bool:
+        return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(
+            a[1], b[1]
+        ) <= p[1] <= max(a[1], b[1])
+
+    def on_boundary(p, q) -> bool:
+        for a, b in polygon.edges():
+            d = (b[0] - a[0], b[1] - a[1])
+            if (
+                (p[0] - a[0]) * d[1] == (p[1] - a[1]) * d[0]
+                and (q[0] - a[0]) * d[1] == (q[1] - a[1]) * d[0]
+                and within(a, b, p)
+                and within(a, b, q)
+            ):
+                return True
+        return False
+
+    seen: dict = {}
+    for tri in sub.triangles:
+        corners = list(tri)
+        for i in range(3):
+            p, q = corners[i], corners[(i + 1) % 3]
+            key = (min(p, q), max(p, q))
+            seen[key] = seen.get(key, 0) + 1
+    for a, b, c in sub.parallelograms:
+        d = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
+        for p, q in ((a, b), (b, c), (c, d), (d, a)):
+            key = (min(p, q), max(p, q))
+            seen[key] = seen.get(key, 0) + 1
+    out = []
+    for (p, q), mult in seen.items():
+        if mult == 1 and on_boundary(p, q):
+            out.append(lattice_length(p, q))
+    return tuple(sorted(out))
 
 
 # -- lattice paths ---------------------------------------------------------

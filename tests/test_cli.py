@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -27,6 +28,48 @@ def run_cli_process(*argv):
         capture_output=True, text=True, env=env, timeout=120,
     )
 
+
+def modules_added(code: str) -> set[str]:
+    """The modules that ``code`` imports in a fresh interpreter, beyond those
+    loaded before it runs (``site`` may already load some)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tropgw.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "TROPGW_CACHE"}
+    env["PYTHONPATH"] = src
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_layer():
+    added = modules_added("import tropgw")
+    assert "tropgw" in added
+    assert not {name for name in added if name.startswith("tropgw.")}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, not_loaded",
+    [
+        ("count --method ch --d 3 --g 0", {"tropgw.ch", "tropgw.gw"},
+         {"tropgw.floors", "tropgw.paths", "tropgw.lattice", "tropgw.templates",
+          "tropgw.curves", "dataclasses"}),
+        ("count --method floor --d 3 --g 0", {"tropgw.floors"},
+         {"tropgw.paths", "tropgw.templates", "tropgw.curves"}),
+    ],
+)
+def test_a_command_imports_only_the_layers_it_runs(argv, loaded, not_loaded):
+    # an import that creeps back into the start-up path fails here, where a
+    # wall-time benchmark would only get noisier
+    added = modules_added(f"from tropgw.cli import main\nmain({argv.split()!r})")
+    assert loaded <= added
+    assert not added & not_loaded, sorted(added & not_loaded)
 
 def test_count_ch_plain(capsys):
     code, out = run_cli(capsys, "count", "--method", "ch", "--d", "3", "--g", "0")
@@ -128,6 +171,17 @@ def assert_argument_error(capsys, argv, message):
          "--wl needs a*k + len(--wr) = 2 weights, not 1"),
         ("--method latticepath --k 1 --a 2 --wl 1,1,1,1 --g 0",
          "--wl needs a*k + len(--wr) = 2 weights, not 4"),
+        # weight lists that do not parse
+        ("--method floor --k 1 --a 2 --wl a,1 --wr 1 --g 0",
+         "--wl 'a,1' is not a comma separated list of integers"),
+        ("--method floor --k 1 --a 2 --wl 1,1,1 --wr 1.5 --g 0",
+         "--wr '1.5' is not a comma separated list of integers"),
+        ("--method latticepath --k 1 --a 2 --wl 1,,1 --g 0",
+         "--wl '1,,1' is not a comma separated list of integers"),
+        ("--method ch --d 3 --g 0 --alpha x",
+         "--alpha 'x' is not a comma separated list of integers"),
+        ("--method ch --d 3 --g 0 --beta 3,",
+         "--beta '3,' is not a comma separated list of integers"),
     ],
 )
 def test_count_argument_errors_exit_2(capsys, argv, message):

@@ -6,7 +6,7 @@ import pytest
 
 import gw_reference as ref
 from tropgw.curves import SimpleCurve, arith_mult, complex_mult, real_mult
-from tropgw.lattice import DualSubdivision, boundary_end_weights
+from tropgw.lattice import DualSubdivision
 
 from tropgw.ch import ch_count, max_genus, weighted_partitions
 from tropgw.curves import VertexStar, vertex_mult
@@ -561,8 +561,8 @@ def test_marked_mult_matches_curve_mult_on_all_small_diagrams():
                 for left, _right in balanced_attachments(diagram, w_left, ()):
                     sub = floor_decomposed_subdivision(diagram, left)
                     polygon = delta_polygon(d)
-                    assert sub.piece_area2() == polygon.area2
-                    ends = boundary_end_weights(sub, polygon)
+                    assert ref.piece_area2(sub) == polygon.area2
+                    ends = ref.boundary_end_weights(sub, polygon)
                     assert sorted(ends) == [1] * (3 * d)
                     curve = SimpleCurve(sub, ends)
                     value = gw_from_pair(marked_mult(diagram, w_left, ()), w_left)
@@ -583,8 +583,8 @@ def test_marked_mult_matches_curve_mult_with_heavier_edges():
         for left, _right in balanced_attachments(diagram, w_left, ()):
             sub = floor_decomposed_subdivision(diagram, left)
             polygon = delta_polygon(4)
-            assert sub.piece_area2() == polygon.area2
-            curve = SimpleCurve(sub, boundary_end_weights(sub, polygon))
+            assert ref.piece_area2(sub) == polygon.area2
+            curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
             value = gw_from_pair(marked_mult(diagram, w_left, ()), w_left)
             assert gw_equal(arith_mult(curve), value), diagram
             assert complex_mult(curve) == value.rank

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -207,6 +209,26 @@ def test_truth_is_ring_nonzero():
     assert not ZERO
     assert H and ONE
     assert diag(2) - diag(3)
+
+
+
+def test_element_is_an_immutable_hashable_value():
+    x = hyperbolic(2) + diag(-6)
+    with pytest.raises(AttributeError):
+        x.terms = ()
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(AttributeError):
+        del x.terms
+    assert x.terms == ((1, 2), (-1, 2), (-6, 1))
+    # built along another path: structurally equal, so equal hashes
+    y = diag(1, -1, -6) + H
+    assert y is not x and y == x and hash(y) == hash(x) and len({x, y}) == 1
+    assert x != diag(-6) and x != x.terms
+    for z in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(z) is GWElement and z == x and hash(z) == hash(x)
+    assert repr(x) == "GWElement(terms=((1, 2), (-1, 2), (-6, 1)))"
+    assert repr(ZERO) == "GWElement(terms=())"
 
 
 def test_sum_relation_bulk_randomized():

@@ -7,7 +7,6 @@ from tropgw.curves import SimpleCurve, VertexStar, arith_mult, vertex_mult
 from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render, square_free
 from tropgw.lattice import (
     Polygon,
-    boundary_end_weights,
     delta_polygon,
     hirzebruch_polygon,
     lattice_length,
@@ -171,8 +170,8 @@ def test_vertex_factorization_of_path_subdivisions():
         for middle in itertools.combinations(points[1:-1], size):
             path = (points[0],) + middle + (points[-1],)
             for sub in path_subdivisions(path, polygon):
-                assert sub.piece_area2() == polygon.area2
-                curve = SimpleCurve(sub, boundary_end_weights(sub, polygon))
+                assert ref.piece_area2(sub) == polygon.area2
+                curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
                 product = ONE
                 for tri in sub.triangles:
                     product = product * vertex_mult(star_of_triangle(tri))
@@ -197,7 +196,7 @@ def test_vertex_factorization_larger_degrees():
             middle = sorted(rng.sample(range(len(interior)), size))
             path = (points[0],) + tuple(interior[i] for i in middle) + (points[-1],)
             for sub in path_subdivisions(path, polygon):
-                curve = SimpleCurve(sub, boundary_end_weights(sub, polygon))
+                curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
                 product = ONE
                 for tri in sub.triangles:
                     product = product * vertex_mult(star_of_triangle(tri))

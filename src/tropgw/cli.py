@@ -36,6 +36,7 @@ from .gw import GWElement, gw_equal, gw_from_pair, gw_to_json, render
 
 CACHE_ENV = "TROPGW_CACHE"
 CACHE_VERSION = 3
+LIST_FLAGS = ("--wl", "--wr", "--alpha", "--beta")
 
 
 def _parse_weights(text: str | None) -> tuple[int, ...]:
@@ -412,8 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_list_values(argv: list[str]) -> list[str]:
+    """Pass ``--wl -1,3`` on as ``--wl=-1,3``.  argparse reads a value that
+    starts with a dash as an option unless it is a plain number, and would
+    end in its usage message before the layers check the weights."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in LIST_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_list_values(argv))
     path = _cache_path(args)
     if path and os.path.isdir(path):
         print(

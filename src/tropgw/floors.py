@@ -7,34 +7,39 @@ floor ends up with divergence k), and totally orders all vertices
 compatibly.  Markings are counted up to isomorphisms fixing the floors, so
 parallel strands of identical weight are interchangeable.
 
-One enumerator serves every degree.  A diagram is fixed by its flow
+No diagram object is built.  A diagram is fixed by its flow
 profile, the weight c_p crossing the gap after floor p (set by where the
 ends attach), and its non-short edges, every edge other than a weight-1
 edge p -> p+1; the short edges fill each gap up to c_p.  With cap_p the
 most flow gap p can carry, #edges = sum(c_p) - sum over non-short edges
 of ((j - i)*w - 1), so the budget S = sum(cap_p) - (a + g - 1) splits into
 the shortfall sum(cap_p - c_p) plus the non-short costs.  Both parts are
-non-negative, and for plane curves S is the number of nodes.  Only
-diagrams with an end attachment are built, so every one has a marking.
+non-negative, and for plane curves S is the number of nodes.
 
-One walker attaches the ends, floor by floor, for both the enumerator and
-the marking count.  The enumerator keeps the flow profiles whose shortfall
-fits S; the marking count caps every gap at the diagram's own flow with no
-shortfall allowed, which leaves exactly the attachments that give every
-floor divergence k, and counts the vertex orders of each.
+Counts with right ends (the Hirzebruch rays) run ``_walk``.
+``_attachments`` attaches the ends floor by floor, once, keeping the flow
+profiles whose shortfall fits S, and the attachments are grouped by
+profile.  ``_edge_tuples`` then adds, floor by floor, outgoing edges
+carrying exactly the flow each gap still lacks.  Every attachment of a
+profile gives each of its diagrams divergence k on every floor, so the
+markings of one edge tuple are the vertex orders summed over the
+profile's attachments.  A bare horizontal line meets one point, placed
+anywhere among the others.
 
 Counts without right ends (every plane curve count, the relative counts
-with free left ends, left-end-only Hirzebruch counts) skip the diagrams:
-one transfer, ``_sweep``, runs through gap 0, floor 1, gap 1, ...,
-floor a and sums nu(D) * mult(D) over all diagrams at once.  Its state
-holds only counts of ends and edges, not yet placed or not yet given a
-floor, so diagrams that agree on them share one entry.  Counts with right
-ends, or restricted to connected curves (which the state cannot see),
-walk the diagrams one by one: heavy, distinct end weights (the Hirzebruch
-rays) give every state its own entry, so a transfer would share nothing
-there and only add its bookkeeping.  Where states do merge, the gain is
-large: ``severi_count(8, 8)`` takes 74 s by the walker and 0.1 s by the
-transfer (Python 3.11, 2 CPUs).
+with free left ends, left-end-only Hirzebruch counts) run one transfer,
+``_sweep``, through gap 0, floor 1, gap 1, ..., floor a, which sums
+nu(D) * mult(D) over all diagrams at once.  Its state holds only counts of
+ends and edges, not yet placed or not yet given a floor, so diagrams that
+agree on them share one entry.  Heavy, distinct end weights give every
+state its own entry, so on the rays a transfer would share nothing and
+only add its bookkeeping.  Where states do merge, the gain is large:
+``severi_count(8, 8)`` took 74 s one diagram at a time and takes 0.1 s by
+the transfer (Python 3.11, 2 CPUs).
+
+Connected counts, which neither walk can see, follow from these by the
+exponential formula (``_connected``): a curve splits into its component
+through the first point and a curve through the other points.
 
 The curve counted by a marked diagram has one trivalent vertex per
 floor/edge incidence, and the dual triangle of that vertex has area equal
@@ -51,73 +56,17 @@ p*H + q*<+-W> with W the product of all end weights.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 
 from .ch import max_genus
 from .gw import GWElement, gw_from_pair
-
-Edge = tuple[int, int, int]  # (source floor, target floor, weight), source < target
-
-
-@dataclass(frozen=True)
-class FloorDiagram:
-    floors: int
-    k: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        for i, j, w in self.edges:
-            if not (1 <= i < j <= self.floors) or w < 1:
-                raise ValueError(f"bad edge {(i, j, w)}")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    def div(self, v: int) -> int:
-        return sum(w for i, j, w in self.edges if j == v) - sum(
-            w for i, j, w in self.edges if i == v
-        )
-
-    @property
-    def genus(self) -> int:
-        """#edges - #floors + 1; for disconnected graphs this is the
-        total genus sum(g_i) - #components + 1."""
-        return len(self.edges) - self.floors + 1
-
-    def is_connected(self) -> bool:
-        if self.floors == 1:
-            return True
-        parent = list(range(self.floors + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j, _ in self.edges:
-            parent[find(i)] = find(j)
-        return len({find(v) for v in range(1, self.floors + 1)}) == 1
 
 
 def edge_mult(w: int) -> tuple[int, int]:
     """(rank, signature) of the edge factor of weight w."""
     return w, w % 2
-
-
-def marked_mult(diagram: FloorDiagram, w_left, w_right) -> tuple[int, int]:
-    """(rank, signature) of any marking: bounded edges squared, ends once."""
-    rank = signature = 1
-    for _, _, w in diagram.edges:
-        r, s = edge_mult(w)
-        rank *= r * r
-        signature *= s * s
-    for w in tuple(w_left) + tuple(w_right):
-        r, s = edge_mult(w)
-        rank *= r
-        signature *= s
-    return rank, signature
 
 
 def _compositions(total: int, parts: int):
@@ -198,84 +147,82 @@ def _attachments(k: int, a: int, w_left, w_right, caps, spare: int):
     yield from walk(1, l_counts, r_counts, (0,), (), (), spare)
 
 
-def count_markings(diagram: FloorDiagram, w_left, w_right, free=()) -> int:
-    """Number of markings up to equivalence fixing the floors.
+def _edge_tuples(a: int, n_edges: int, profile):
+    """The edges of every diagram on a floors with ``n_edges`` edges whose
+    flow profile is ``profile``, one tuple of (i, j, w) per diagram.
 
-    ``free`` lists the weights of horizontal line components (one marked
-    point each, ordered freely against everything else).
+    Floor by floor, the outgoing edges carry exactly the flow each gap
+    still lacks.  The spare sum(c_p) - n_edges pays the costs (j - i)*w - 1
+    of the non-short edges, and a diagram has ``n_edges`` edges exactly
+    when nothing of it is left.
     """
-    a = diagram.floors
-    if sum(w_left) != a * diagram.k + sum(w_right):
-        raise ValueError("weights do not match the diagram degree")
-    flows = [0] * a  # flows[p]: the diagram's weight across the gap after floor p
-    for i, j, w in diagram.edges:
-        for p in range(i, j):
-            flows[p] += w
-    fixed = [(i, j - 1, m) for (i, j, w), m in Counter(diagram.edges).items()]
-    fixed += [(0, a, m) for m in Counter(free).values()]
-    total = 0
-    for _, lefts, rights in _attachments(diagram.k, a, w_left, w_right, flows, 0):
-        classes = list(fixed)
-        for v in range(a):  # black end vertices before / after floor v+1
-            classes += [(0, v, m) for m in lefts[v]]
-            classes += [(v + 1, a, m) for m in rights[v]]
-        total += count_interleavings(a + 1, classes)
-    return total
+    c, flow, edges = profile + (0,), [0] * (a + 1), []
+
+    def leave(p: int, need: int, last: tuple[int, int], spare: int, room: int):
+        # edges out of floor p, in non-increasing (weight, target) order
+        if p == a:  # every gap is full, so the edges spent the spare
+            yield tuple(edges)
+            return
+        if need == 0:
+            yield from leave(p + 1, c[p + 1] - flow[p + 1], (c[p + 1], a), spare, room)
+            return
+        if need - room > spare:  # an edge of weight w costs at least w - 1
+            return
+        for w in range(min(need, last[0], spare + 1), 0, -1):
+            if need > w * room:
+                return
+            for j in range(p + 1, (last[1] if w == last[0] else a) + 1):
+                cost = (j - p) * w - 1
+                if cost > spare or (j - 1 > p and flow[j - 1] + w > c[j - 1]):
+                    break
+                for q in range(p + 1, j):
+                    flow[q] += w
+                edges.append((p, j, w))
+                yield from leave(p, need - w, (w, j), spare - cost, room - 1)
+                edges.pop()
+                for q in range(p + 1, j):
+                    flow[q] -= w
+
+    yield from leave(1, c[1], (c[1], a), sum(c) - n_edges, n_edges)
 
 
-def enumerate_diagrams(
-    k: int, a: int, g: int, w_left, w_right, connected: bool = False
-) -> list[FloorDiagram]:
-    """All floor diagrams on a floors with a + g - 1 edges and an end attachment.
+def _walk(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
+    """(rank, signature) of sum nu(D) * mult(D) over every diagram with
+    ends ``w_left`` and ``w_right`` and a + g - 1 edges, no lines.
 
-    Pass 1 attaches ends floor by floor and collects the distinct flow
-    profiles c_p, the weight crossing gap p; pass 2 adds, floor by floor,
-    outgoing edges carrying exactly the flow each gap still lacks.  The
-    budget S = sum(cap_p) - (a + g - 1) pays both the shortfall
-    sum(cap_p - c_p) and the costs (j - i)*w - 1 of the non-short edges,
-    and a diagram has a + g - 1 edges exactly when nothing of S is left.
+    The end attachments are walked once within the budget S and grouped
+    by flow profile; every diagram of a profile has the profile's
+    attachments, and nu(D) sums their vertex orders.
     """
-    w_left, w_right = tuple(w_left), tuple(w_right)
-    if sum(w_left) != a * k + sum(w_right):
-        raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
+    n_edges = a + g - 1
     caps = [min(sum(w_left) - p * k, (a - p) * k + sum(w_right)) for p in range(a)]
-    budget = sum(caps[1:]) - (a + g - 1)
-    if a + g - 1 < 0 or budget < 0:
-        return []
-    profiles = {p for p, _, _ in _attachments(k, a, w_left, w_right, caps, budget)}
-    diagrams = []
-    for profile in sorted(profiles):
-        c, flow, edges = profile + (0,), [0] * (a + 1), []
-
-        def leave(p: int, need: int, last: tuple[int, int], spare: int, room: int):
-            # edges out of floor p, in non-increasing (weight, target) order
-            if p == a:  # every gap is full, so the edges spent the budget
-                diagram = FloorDiagram(a, k, tuple(edges))
-                if not connected or diagram.is_connected():
-                    diagrams.append(diagram)
-                return
-            if need == 0:
-                leave(p + 1, c[p + 1] - flow[p + 1], (c[p + 1], a), spare, room)
-                return
-            if need - room > spare:  # an edge of weight w costs at least w - 1
-                return
-            for w in range(min(need, last[0], spare + 1), 0, -1):
-                if need > w * room:
-                    return
-                for j in range(p + 1, (last[1] if w == last[0] else a) + 1):
-                    cost = (j - p) * w - 1
-                    if cost > spare or (j - 1 > p and flow[j - 1] + w > c[j - 1]):
-                        break
-                    for q in range(p + 1, j):
-                        flow[q] += w
-                    edges.append((p, j, w))
-                    leave(p, need - w, (w, j), spare - cost, room - 1)
-                    edges.pop()
-                    for q in range(p + 1, j):
-                        flow[q] -= w
-
-        leave(1, c[1], (c[1], a), sum(c) - (a + g - 1), a + g - 1)
-    return diagrams
+    budget = sum(caps[1:]) - n_edges
+    if n_edges < 0 or budget < 0:
+        return 0, 0
+    attachments = defaultdict(list)  # flow profile -> end classes per attachment
+    for profile, lefts, rights in _attachments(k, a, w_left, w_right, caps, budget):
+        ends = []
+        for v in range(a):  # black end vertices before / after floor v+1
+            ends += [(0, v, m) for m in lefts[v]]
+            ends += [(v + 1, a, m) for m in rights[v]]
+        attachments[profile].append(ends)
+    rank = signature = 0
+    for profile, ends in attachments.items():
+        for edges in _edge_tuples(a, n_edges, profile):
+            classes = [(i, j - 1, m) for (i, j, _), m in Counter(edges).items()]
+            nu = sum(count_interleavings(a + 1, classes + e) for e in ends)
+            r = s = nu
+            for _, _, w in edges:  # bounded edges count twice
+                er, es = edge_mult(w)
+                r *= er * er
+                s *= es * es
+            rank += r
+            signature += s
+    for w in w_left + w_right:
+        er, es = edge_mult(w)
+        rank *= er
+        signature *= es
+    return rank, signature
 
 
 def _takes(items, need: int, ordered: bool):
@@ -344,7 +291,7 @@ def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
     weights partition its out-flow, at (w^2, w mod 2) each.  With
     cap_q = (a - q) * k the most flow gap q carries, the edges started
     at floors 1..v are at least sum(cap_q, q <= v) - S, where S is the
-    ``enumerate_diagrams`` budget, and at most a + g - 1; at floor a - 1
+    budget of the module docstring, and at most a + g - 1; at floor a - 1
     the two bounds meet.  After floor v the edges not yet ended and the
     left ends not yet on a floor weigh (a - v) * k, so the gap before
     floor a, which must hand floor a at least k, places everything, and
@@ -440,6 +387,97 @@ def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
     return rank, signature
 
 
+def _splits(weights):
+    """Every split of the multiset ``weights`` in two, as sorted tuples."""
+    n = Counter(weights)
+    for taken in product(*(range(m + 1) for m in n.values())):
+        part = Counter(dict(zip(n, taken)))
+        yield tuple(sorted(part.elements())), tuple(sorted((n - part).elements()))
+
+
+def _line_orders(n_points: int, lines) -> int:
+    """The ways to put the horizontal lines of weights ``lines``, one point
+    each, among ``n_points`` ordered points; lines of one weight are alike."""
+    ways = factorial(n_points) // factorial(n_points - len(lines))
+    return ways // prod(map(factorial, Counter(lines).values()))
+
+
+def _count(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
+    """(rank, signature) of the count of every curve, disconnected ones
+    and bare horizontal lines included."""
+    if not w_right:
+        return _sweep(k, a, w_left, g)
+    n_left, n_right = Counter(w_left), Counter(w_right)
+    n_points = 2 * a + g - 1 + len(w_left) + len(w_right)
+    rank = signature = 0
+    for lines, _ in _splits((n_left & n_right).elements()):
+        wl = tuple((n_left - Counter(lines)).elements())
+        wr = tuple((n_right - Counter(lines)).elements())
+        r, s = _walk(k, a, wl, wr, g + len(lines))
+        if r:
+            ways = _line_orders(n_points, lines)
+            rank += ways * r
+            signature += ways * s
+    return rank, signature
+
+
+def _connected(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
+    """(rank, signature) of the count of connected curves, by the
+    exponential formula.
+
+    A curve of the configuration C (a floors, the end lists, genus g)
+    passes through n = 2a + g - 1 + #ends points.  Its component through
+    the first point is a connected curve of a sub-configuration C_1 (a_1
+    floors, a sub-multiset of each end list, genus g_1 >= 0; a horizontal
+    line when a_1 = 0) through n_1 of the points, and the rest is any curve
+    of C - C_1, of genus g - g_1 + 1, through the other n - n_1: C(n - 1,
+    n_1 - 1) choices of points.  Ends of one weight carry no labels.  So
+    N_conn(C) is N(C) less the splits with C_1 != C.  Both counts are kept
+    per configuration for this call only.
+    """
+    counts, connected = {}, {}
+
+    def count(a, wl, wr, g):
+        if a == 0:  # horizontal lines only, one point each
+            if wl != wr or g != 1 - len(wl):
+                return 0, 0
+            ways = _line_orders(len(wl), wl)
+            return ways, ways
+        key = (a, wl, wr, g)
+        if key not in counts:
+            counts[key] = _count(k, a, wl, wr, g)
+        return counts[key]
+
+    def conn(a, wl, wr, g):
+        key = (a, wl, wr, g)
+        if key in connected:
+            return connected[key]
+        rank, signature = count(a, wl, wr, g)
+        if not rank:  # no curve at all, so no connected one
+            return 0, 0
+        n_points = 2 * a + g - 1 + len(wl) + len(wr)
+        for wl1, wl2 in _splits(wl):
+            for wr1, wr2 in _splits(wr):
+                for a1 in range(a + 1):
+                    least = 2 * a1 - 1 + len(wl1) + len(wr1)  # n_1 at genus 0
+                    if sum(wl1) != a1 * k + sum(wr1) or least < 1:
+                        continue
+                    for g1 in range(n_points - least + 1):
+                        if (a1, wl1, wr1, g1) == key:
+                            continue
+                        r2, s2 = count(a - a1, wl2, wr2, g - g1 + 1)
+                        if not r2:
+                            continue
+                        r1, s1 = conn(a1, wl1, wr1, g1)
+                        ways = comb(n_points - 1, least + g1 - 1)
+                        rank -= ways * r1 * r2
+                        signature -= ways * s1 * s2
+        connected[key] = rank, signature
+        return connected[key]
+
+    return conn(a, tuple(sorted(w_left)), tuple(sorted(w_right)), g)
+
+
 def floor_count(
     k: int,
     a: int,
@@ -457,9 +495,10 @@ def floor_count(
     meets one point, and multiplies the count by <w^2> = <1>.
     ``connected=True`` restricts to connected single-component curves.
 
-    Without right ends (and with ``connected`` False) every diagram is
-    summed at once by the gap-by-gap transfer ``_sweep``; otherwise each
-    diagram is enumerated and its markings counted.
+    Without right ends every diagram is summed at once by the gap-by-gap
+    transfer ``_sweep``; with right ends ``_walk`` counts the markings of
+    each diagram, one flow profile at a time.  Connected counts follow
+    from these by the exponential formula.
     """
     w_left, w_right = tuple(w_left), tuple(w_right)
     if a < 1:
@@ -468,24 +507,8 @@ def floor_count(
         raise ValueError("end weights must be positive")
     if sum(w_left) != a * k + sum(w_right):
         raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
-    if not w_right and not connected:
-        return gw_from_pair(_sweep(k, a, w_left, g), w_left)
-    rank = signature = 0
-    n_left, n_right = Counter(w_left), Counter(w_right)
-    shared = n_left & n_right
-    for lines in product(*(range(m + 1) for m in shared.values())):
-        if connected and any(lines):
-            continue
-        n_free = Counter(dict(zip(shared, lines)))
-        wl = tuple((n_left - n_free).elements())
-        wr = tuple((n_right - n_free).elements())
-        free = tuple(n_free.elements())
-        for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr, connected):
-            nu = count_markings(diagram, wl, wr, free)
-            r, s = marked_mult(diagram, wl, wr)
-            rank += nu * r
-            signature += nu * s
-    return gw_from_pair((rank, signature), w_left + w_right)
+    pair = (_connected if connected else _count)(k, a, w_left, w_right, g)
+    return gw_from_pair(pair, w_left + w_right)
 
 
 def delta_floor_count(d: int, g: int, connected: bool = False) -> GWElement:
@@ -493,11 +516,11 @@ def delta_floor_count(d: int, g: int, connected: bool = False) -> GWElement:
     return floor_count(1, d, (1,) * d, (), g, connected=connected)
 
 
-def severi_count(d: int, delta: int, connected: bool = False) -> GWElement:
+def severi_count(d: int, delta: int) -> GWElement:
     """Count of degree-d plane curves with delta nodes, via floor diagrams."""
     if d < 1 or delta < 0:
         raise ValueError("need d >= 1 and delta >= 0")
-    return delta_floor_count(d, max_genus(d) - delta, connected=connected)
+    return delta_floor_count(d, max_genus(d) - delta)
 
 
 def hirzebruch_count(k: int, a: int, g: int, w_left, w_right) -> GWElement:

@@ -52,9 +52,9 @@ class Polygon:
 
     @staticmethod
     def from_vertices(points) -> "Polygon":
-        pts = [tuple(p) for p in points]
+        pts = list(dict.fromkeys(tuple(p) for p in points))  # drop repeats
         if len(pts) < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
+            raise ValueError("degenerate polygon")
         # normalize: CCW orientation, drop collinear vertices, start lex-least
         area2 = 0
         for i, p in enumerate(pts):
@@ -124,9 +124,12 @@ def delta_polygon(d: int) -> Polygon:
 
 
 def hirzebruch_polygon(k: int, a: int, b: int) -> Polygon:
-    """Trapezoid with left side a*k+b, right side b, width a (b = 0: triangle)."""
+    """Trapezoid with left side a*k+b, right side b, width a (a triangle
+    when either side is 0)."""
     if b == 0:
         return Polygon.from_vertices([(0, 0), (a, 0), (0, a * k)])
+    if a * k + b == 0:
+        return Polygon.from_vertices([(0, 0), (a, 0), (a, b)])
     return Polygon.from_vertices([(0, 0), (a, 0), (a, b), (0, a * k + b)])
 
 

@@ -4,9 +4,12 @@ The package evaluates every count on (rank, signature) pairs and builds
 the GW(Q) element once at the end.  These evaluators compute the same
 counts directly in the Grothendieck-Witt ring, with the factor formulas of
 ``curves.triangle_mult``, so that the tests compare two independently
-computed values.  They reuse the package's enumerators of diagrams and
-markings, but none of its value code.  The lattice paths are enumerated
-here by brute force, with their own boundary chains and point-tuple
+computed values.  Floor counts walk one diagram at a time here:
+``enumerate_diagrams`` builds every ``FloorDiagram`` and ``count_markings``
+counts its markings, sharing only the end-attachment walker and the
+interleaving count with the package, whose own walk builds no diagram and
+whose connected counts come from the exponential formula.  The lattice
+paths are enumerated here by brute force, with their own boundary chains and point-tuple
 walker; the templates by filtering edge multisets through ``Template``,
 and each template sequence is placed on its own, with the orderings
 counted per placement.  The checks of an explicit dual subdivision
@@ -17,6 +20,7 @@ tests build subdivisions.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, product as cartesian
 
 from tropgw.ch import (
@@ -28,7 +32,7 @@ from tropgw.ch import (
     weighted_partitions,
 )
 from tropgw.curves import triangle_mult
-from tropgw.floors import count_interleavings, count_markings, enumerate_diagrams
+from tropgw.floors import _attachments, count_interleavings, edge_mult
 from tropgw.gw import ONE, ZERO, GWElement
 from tropgw.lattice import (
     DualSubdivision,
@@ -227,7 +231,143 @@ def count_lattice_path(polygon, g, tie_break="ydesc") -> GWElement:
 # -- floor diagrams and templates ------------------------------------------
 
 
-def marked_mult(diagram, w_left, w_right) -> GWElement:
+Edge = tuple[int, int, int]  # (source floor, target floor, weight), source < target
+
+
+@dataclass(frozen=True)
+class FloorDiagram:
+    floors: int
+    k: int
+    edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        for i, j, w in self.edges:
+            if not (1 <= i < j <= self.floors) or w < 1:
+                raise ValueError(f"bad edge {(i, j, w)}")
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+
+    def div(self, v: int) -> int:
+        return sum(w for i, j, w in self.edges if j == v) - sum(
+            w for i, j, w in self.edges if i == v
+        )
+
+    @property
+    def genus(self) -> int:
+        """#edges - #floors + 1; for disconnected graphs this is the
+        total genus sum(g_i) - #components + 1."""
+        return len(self.edges) - self.floors + 1
+
+    def is_connected(self) -> bool:
+        if self.floors == 1:
+            return True
+        parent = list(range(self.floors + 1))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j, _ in self.edges:
+            parent[find(i)] = find(j)
+        return len({find(v) for v in range(1, self.floors + 1)}) == 1
+
+
+def marked_mult(diagram: FloorDiagram, w_left, w_right) -> tuple[int, int]:
+    """(rank, signature) of any marking: bounded edges squared, ends once."""
+    rank = signature = 1
+    for _, _, w in diagram.edges:
+        r, s = edge_mult(w)
+        rank *= r * r
+        signature *= s * s
+    for w in tuple(w_left) + tuple(w_right):
+        r, s = edge_mult(w)
+        rank *= r
+        signature *= s
+    return rank, signature
+
+
+def count_markings(diagram: FloorDiagram, w_left, w_right, free=()) -> int:
+    """Number of markings up to equivalence fixing the floors.
+
+    ``free`` lists the weights of horizontal line components (one marked
+    point each, ordered freely against everything else).
+    """
+    a = diagram.floors
+    if sum(w_left) != a * diagram.k + sum(w_right):
+        raise ValueError("weights do not match the diagram degree")
+    flows = [0] * a  # flows[p]: the diagram's weight across the gap after floor p
+    for i, j, w in diagram.edges:
+        for p in range(i, j):
+            flows[p] += w
+    fixed = [(i, j - 1, m) for (i, j, w), m in Counter(diagram.edges).items()]
+    fixed += [(0, a, m) for m in Counter(free).values()]
+    total = 0
+    for _, lefts, rights in _attachments(diagram.k, a, w_left, w_right, flows, 0):
+        classes = list(fixed)
+        for v in range(a):  # black end vertices before / after floor v+1
+            classes += [(0, v, m) for m in lefts[v]]
+            classes += [(v + 1, a, m) for m in rights[v]]
+        total += count_interleavings(a + 1, classes)
+    return total
+
+
+def enumerate_diagrams(
+    k: int, a: int, g: int, w_left, w_right, connected: bool = False
+) -> list[FloorDiagram]:
+    """All floor diagrams on a floors with a + g - 1 edges and an end attachment.
+
+    Pass 1 attaches ends floor by floor and collects the distinct flow
+    profiles c_p, the weight crossing gap p; pass 2 adds, floor by floor,
+    outgoing edges carrying exactly the flow each gap still lacks.  The
+    budget S = sum(cap_p) - (a + g - 1) pays both the shortfall
+    sum(cap_p - c_p) and the costs (j - i)*w - 1 of the non-short edges,
+    and a diagram has a + g - 1 edges exactly when nothing of S is left.
+    """
+    w_left, w_right = tuple(w_left), tuple(w_right)
+    if sum(w_left) != a * k + sum(w_right):
+        raise ValueError("sum(w_left) must equal a*k + sum(w_right)")
+    caps = [min(sum(w_left) - p * k, (a - p) * k + sum(w_right)) for p in range(a)]
+    budget = sum(caps[1:]) - (a + g - 1)
+    if a + g - 1 < 0 or budget < 0:
+        return []
+    profiles = {p for p, _, _ in _attachments(k, a, w_left, w_right, caps, budget)}
+    diagrams = []
+    for profile in sorted(profiles):
+        c, flow, edges = profile + (0,), [0] * (a + 1), []
+
+        def leave(p: int, need: int, last: tuple[int, int], spare: int, room: int):
+            # edges out of floor p, in non-increasing (weight, target) order
+            if p == a:  # every gap is full, so the edges spent the budget
+                diagram = FloorDiagram(a, k, tuple(edges))
+                if not connected or diagram.is_connected():
+                    diagrams.append(diagram)
+                return
+            if need == 0:
+                leave(p + 1, c[p + 1] - flow[p + 1], (c[p + 1], a), spare, room)
+                return
+            if need - room > spare:  # an edge of weight w costs at least w - 1
+                return
+            for w in range(min(need, last[0], spare + 1), 0, -1):
+                if need > w * room:
+                    return
+                for j in range(p + 1, (last[1] if w == last[0] else a) + 1):
+                    cost = (j - p) * w - 1
+                    if cost > spare or (j - 1 > p and flow[j - 1] + w > c[j - 1]):
+                        break
+                    for q in range(p + 1, j):
+                        flow[q] += w
+                    edges.append((p, j, w))
+                    leave(p, need - w, (w, j), spare - cost, room - 1)
+                    edges.pop()
+                    for q in range(p + 1, j):
+                        flow[q] -= w
+
+        leave(1, c[1], (c[1], a), sum(c) - (a + g - 1), a + g - 1)
+    return diagrams
+
+
+def marked_mult_gw(diagram, w_left, w_right) -> GWElement:
     bounded = [edge_factor(w) for _, _, w in diagram.edges]
     ends = [edge_factor(w) for w in tuple(w_left) + tuple(w_right)]
     return product(bounded + bounded + ends)
@@ -237,15 +377,19 @@ def _without(weights, removed) -> tuple[int, ...]:
     return tuple((Counter(weights) - Counter(removed)).elements())
 
 
-def floor_count(k, a, w_left, w_right, g) -> GWElement:
+def floor_count(k, a, w_left, w_right, g, connected=False) -> GWElement:
+    """Every diagram and its markings, one at a time; ``connected`` keeps
+    the connected diagrams and no horizontal lines."""
     total = ZERO
     shared = sorted((Counter(w_left) & Counter(w_right)).elements())
     lines = {c for n in range(len(shared) + 1) for c in combinations(shared, n)}
     for free in lines:  # the weights of the bare horizontal line components
+        if connected and free:
+            continue
         wl, wr = _without(w_left, free), _without(w_right, free)
-        for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr):
+        for diagram in enumerate_diagrams(k, a, g + len(free), wl, wr, connected):
             nu = count_markings(diagram, wl, wr, free)
-            total = total + nu * marked_mult(diagram, wl, wr)
+            total = total + nu * marked_mult_gw(diagram, wl, wr)
     return total
 
 

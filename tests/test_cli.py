@@ -97,6 +97,28 @@ def test_count_floor_hirzebruch(capsys):
     assert out.strip() == "⟨1⟩ (rank 1, signature 1)"
 
 
+def test_count_methods_agree_when_the_left_side_closes(capsys):
+    # k = -1, a = 2, two right ends: the trapezoid is the triangle
+    # (0,0), (2,0), (2,2), and the count is ch_count(2, -1) = 3<1>
+    for method in ("latticepath", "floor"):
+        code, out = run_cli(
+            capsys, "count", "--method", method, "--k", "-1", "--a", "2",
+            "--wr", "1,1", "--g", "-1",
+        )
+        assert code == 0
+        assert out == "3⟨1⟩ (rank 3, signature 3)\n", method
+    assert ch.ch_count(2, -1).rank == 3
+
+
+def test_count_floor_connected_with_right_ends(capsys):
+    code, out = run_cli(
+        capsys, "count", "--method", "floor", "--k", "1", "--a", "2", "--wl", "2,1,1",
+        "--wr", "1,1", "--g", "0", "--connected",
+    )
+    assert code == 0
+    assert out == "192ℍ (rank 384, signature 0)\n"
+
+
 def test_count_json_round_trip(capsys):
     code, out = run_cli(
         capsys,
@@ -129,8 +151,10 @@ def test_count_rejects_weighted_latticepath(capsys):
 
 
 def assert_argument_error(capsys, argv, message):
+    # as ``python -m tropgw.cli`` exits: argparse and the CLI's own checks
+    # raise SystemExit(2), and main returns 2 on a layer's ValueError
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        sys.exit(main(argv))
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -182,6 +206,13 @@ def assert_argument_error(capsys, argv, message):
          "--alpha 'x' is not a comma separated list of integers"),
         ("--method ch --d 3 --g 0 --beta 3,",
          "--beta '3,' is not a comma separated list of integers"),
+        # negative weights reach the layers' own checks, with or without "="
+        ("--method floor --k 1 --a 2 --wl -1,3 --g 0", "end weights must be positive"),
+        ("--method floor --k 1 --a 2 --wl=-1,3 --g 0", "end weights must be positive"),
+        ("--method floor --k 1 --a 2 --wl 3,1 --wr -1,3 --g 0",
+         "end weights must be positive"),
+        ("--method ch --d 3 --g 0 --alpha -1,2", "sequence entries must be nonnegative"),
+        ("--method ch --d 3 --g 0 --beta -1,2", "sequence entries must be nonnegative"),
     ],
 )
 def test_count_argument_errors_exit_2(capsys, argv, message):

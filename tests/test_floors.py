@@ -5,21 +5,18 @@ from math import prod
 import pytest
 
 import gw_reference as ref
+from gw_reference import FloorDiagram, count_markings, enumerate_diagrams, marked_mult
 from tropgw.curves import SimpleCurve, arith_mult, complex_mult, real_mult
 from tropgw.lattice import DualSubdivision
 
 from tropgw.ch import ch_count, max_genus, weighted_partitions
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.floors import (
-    FloorDiagram,
     count_interleavings,
-    count_markings,
     delta_floor_count,
     edge_mult,
-    enumerate_diagrams,
     floor_count,
     hirzebruch_count,
-    marked_mult,
     severi_count,
 )
 from tropgw.gw import (
@@ -123,7 +120,7 @@ def test_edge_and_diagram_mult():
         (FloorDiagram(2, 2, ((1, 2, 2),)), (2, 2, 2), (2,)),
     ]
     for diagram, wl, wr in cases:
-        expected = ref.marked_mult(diagram, wl, wr)
+        expected = ref.marked_mult_gw(diagram, wl, wr)
         assert marked_mult(diagram, wl, wr) == pair(expected), diagram
         assert gw_equal(gw_from_pair(marked_mult(diagram, wl, wr), wl + wr), expected)
 
@@ -394,6 +391,71 @@ def test_weighted_floor_counts_match_gw_reference():
         if expected.signature and square_free(prod(wl) * prod(wr)) != 1:
             nonsquare += 1
     assert nonsquare >= 8
+
+
+def end_partitions(total, top=3):
+    """The multisets of weights at most ``top`` that sum to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for w in range(min(total, top), 0, -1):
+        for rest in end_partitions(total - w, w):
+            yield (w,) + rest
+
+
+# k <= 2, a <= 3, end weights <= 3, at most 2 right ends and 4 ends in
+# all, left weight at most 5
+GRID_FLOOR_CASES = [
+    (k, a, wl, wr, g)
+    for k in range(3)
+    for a in range(1, 4)
+    for n_right in range(3)
+    for wr in combinations_with_replacement((1, 2, 3), n_right)
+    if a * k + sum(wr) <= 5
+    for wl in end_partitions(a * k + sum(wr))
+    if len(wl) + len(wr) <= 4
+    for g in range(-1, 3)
+]
+
+
+def test_floor_count_matches_reference_walker_on_a_grid():
+    # the reference builds every diagram and walks its markings one at a time
+    for k, a, wl, wr, g in WEIGHTED_FLOOR_CASES + GRID_FLOOR_CASES:
+        value = floor_count(k, a, wl, wr, g)
+        assert pair(value) == pair(ref.floor_count(k, a, wl, wr, g)), (k, a, wl, wr, g)
+    with_lines = [c for c in GRID_FLOOR_CASES if set(c[2]) & set(c[3])]
+    assert len(GRID_FLOOR_CASES) == 432 and len(with_lines) == 216
+
+
+def test_connected_counts_match_reference_filter():
+    # the exponential formula against the reference's connected diagrams
+    cases = [
+        (1, d, (1,) * d, (), g) for d in range(1, 6) for g in range(-1, max_genus(d) + 1)
+    ]
+    cases += [
+        (1, 3, (3, 2, 1), (2, 1), -1),  # 0 only if lines count |W|!/prod(m_w!)
+        (1, 3, (3, 2, 1), (2, 1), 0),
+        (1, 3, (3, 2, 1), (2, 1), 1),
+        (0, 2, (2, 1), (2, 1), 0),
+        (0, 2, (3, 1), (3, 1), 1),
+        (0, 3, (1, 1, 1), (1, 1, 1), 0),
+        (1, 2, (2, 1, 1), (1, 1), 0),
+        (2, 2, (1,) * 5, (1,), 0),
+    ]
+    cases += [c for c in GRID_FLOOR_CASES if set(c[2]) & set(c[3]) and c[1] < 3]
+    for k, a, wl, wr, g in cases:
+        value = floor_count(k, a, wl, wr, g, connected=True)
+        expected = ref.floor_count(k, a, wl, wr, g, connected=True)
+        assert pair(value) == pair(expected), (k, a, wl, wr, g)
+    assert pair(floor_count(1, 3, (3, 2, 1), (2, 1), -1, connected=True)) == (0, 0)
+
+
+def test_connected_rational_curves_are_kontsevich_and_welschinger():
+    kontsevich = (1, 1, 12, 620, 87304, 26312976, 14616808192)
+    welschinger = (1, 1, 8, 240, 18264, 2845440, 792731520)
+    for d in range(1, 8):
+        value = delta_floor_count(d, 0, connected=True)
+        assert pair(value) == (kontsevich[d - 1], welschinger[d - 1]), d
 
 
 def walker_pair(k, a, w_left, g):

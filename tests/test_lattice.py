@@ -112,6 +112,16 @@ def test_polygon_basics():
     assert hirzebruch_polygon(1, 3, 0) == delta_polygon(3)
 
 
+def test_repeated_vertices_are_dropped():
+    # a*k + b = 0 closes the trapezoid's left side to a point
+    assert hirzebruch_polygon(-1, 2, 2).vertices == ((0, 0), (2, 0), (2, 2))
+    square = [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
+    assert Polygon.from_vertices(square).vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
+    for points in ([(0, 0), (2, 0), (0, 0)], [(1, 1)] * 3):
+        with pytest.raises(ValueError, match="degenerate polygon"):
+            Polygon.from_vertices(points)
+
+
 def test_subdivision_boundary_weights():
     # unit square split into two triangles along the main diagonal
     sub = DualSubdivision(

@@ -435,6 +435,8 @@ def _connected(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
     N_conn(C) is N(C) less the splits with C_1 != C.  Both counts are kept
     per configuration for this call only.
     """
+    if g < 0:  # a connected curve has genus >= 0
+        return 0, 0
     counts, connected = {}, {}
 
     def count(a, wl, wr, g):

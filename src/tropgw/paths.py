@@ -19,6 +19,13 @@ increasing path is determined by its set of points, so each side memoizes
 on the int bitmask of that set: a corner cut clears one bit, a
 parallelogram move clears one and sets another.
 
+A path point on a side's boundary chain is never cut or moved on that
+side: the polygon is convex, so no corner at a boundary point turns toward
+the side it bounds.  Each side's multiplicity is therefore the product of
+the multiplicities of the pieces between consecutive chain points, and
+``count_lattice_path`` sums over all paths by building them from left to
+right, closing a side's piece at each of its chain points.
+
 The recursion runs on exact (rank, signature) pairs, multiplied
 componentwise.  A triangle of normalized area m costs the pair of its
 quadratic-form weight: (m, 0) for even m and (m, +-1) for odd m, the sign
@@ -27,18 +34,12 @@ given by the parity of its interior lattice points.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
 from .gw import GWElement, gw_from_pair
-from .lattice import (
-    DualSubdivision,
-    Point,
-    Polygon,
-    lattice_length,
-)
+from .lattice import Point, Polygon
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -94,16 +95,10 @@ def _tables(polygon: Polygon, tie_break: str) -> _Tables:
     return _Tables(points, index, move, chain)
 
 
-# path_mult and path_subdivisions evaluate one path per call, and building
-# the tables costs more than the walk, so they share the tables of recent
-# (polygon, tie-break) pairs.  count_lattice_path builds its own.
-_shared_tables = lru_cache(maxsize=8)(_tables)
-
-
-def _first_turn(path: tuple[int, ...], move: list):
-    """(j, move entry) of the first corner path[j] turning toward the side,
-    or None if the path has no such corner."""
-    for j in range(1, len(path) - 1):
+def _first_turn(path: tuple[int, ...], move: list, start: int = 1):
+    """(j, move entry) of the first corner path[j], j >= start, turning
+    toward the side, or None if the path has no such corner."""
+    for j in range(start, len(path) - 1):
         entry = move[path[j - 1]][path[j]][path[j + 1]]
         if entry is not None:
             return j, entry
@@ -112,60 +107,50 @@ def _first_turn(path: tuple[int, ...], move: list):
 
 def _side_walker(tables: _Tables, side: str):
     """The completion multiplicity of one side, as a function of
-    (path, mask), memoized on the mask."""
+    (path, mask) for an increasing path whose ends lie on the side's
+    boundary chain, memoized on the mask.
+
+    A corner whose middle point lies on the chain never turns toward the
+    side (the polygon is convex), so such a point is never cut or moved:
+    the path splits there into pieces whose multiplicities multiply.  A
+    piece is flat when its mask is the chain between its ends.
+    """
     move, chain = tables.move[side], tables.chain[side]
     memo: dict[int, tuple[int, int]] = {}
 
-    def value(path: tuple[int, ...], mask: int) -> tuple[int, int]:
+    def value(path: tuple[int, ...], mask: int, start: int = 1) -> tuple[int, int]:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        turn = _first_turn(path, move)
-        if turn is None:
-            result = (1, 1) if mask == chain else (0, 0)
+        inner = mask & chain & ~(1 << path[0] | 1 << path[-1])
+        if inner:
+            b = (inner & -inner).bit_length() - 1
+            j, low = path.index(b), (2 << b) - 1
+            rank, signature = value(path[:j + 1], mask & low)
+            if rank:
+                r_rank, r_signature = value(path[j:], mask & ~low | 1 << b)
+                rank, signature = rank * r_rank, signature * r_signature
         else:
-            j, ((tri_rank, tri_signature), r) = turn
-            b = path[j]
-            rank, signature = value(path[:j] + path[j + 1:], mask ^ (1 << b))
-            rank, signature = tri_rank * rank, tri_signature * signature
-            if r >= 0:
-                shifted = path[:j] + (r,) + path[j + 1:]
-                r_rank, r_signature = value(shifted, mask ^ (1 << b) | (1 << r))
-                rank, signature = rank + r_rank, signature + r_signature
-            result = (rank, signature)
-        memo[mask] = result
+            turn = _first_turn(path, move, start)
+            if turn is None:
+                flat = chain & (2 << path[-1]) - (1 << path[0])
+                rank, signature = (1, 1) if mask == flat else (0, 0)
+            else:
+                # corners left of j - 1 are untouched by the move at j
+                j, ((tri_rank, tri_signature), r) = turn
+                b, resume = path[j], j - 1 or 1
+                rank, signature = value(path[:j] + path[j + 1:], mask ^ 1 << b, resume)
+                rank, signature = tri_rank * rank, tri_signature * signature
+                if r >= 0:
+                    r_rank, r_signature = value(
+                        path[:j] + (r,) + path[j + 1:], mask ^ 1 << b | 1 << r, resume
+                    )
+                    rank, signature = rank + r_rank, signature + r_signature
+        # zeros, the most common value, share one tuple
+        result = memo[mask] = (rank, signature) if rank else (0, 0)
         return result
 
     return value
-
-
-def _path_indices(path, tables: _Tables) -> tuple[int, ...]:
-    """The path as point indices; ValueError unless it is an increasing
-    path of lattice points of the polygon."""
-    indices = []
-    for p in path:
-        p = tuple(p)
-        if p not in tables.index:
-            raise ValueError(f"path leaves the polygon at {p}")
-        indices.append(tables.index[p])
-    if any(j <= i for i, j in zip(indices, indices[1:])):
-        raise ValueError("path is not strictly increasing in the path order")
-    return tuple(indices)
-
-
-def path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc") -> GWElement:
-    """Completion multiplicity of a path on one side of the polygon.
-
-    The class of the result is that of the product of the lattice lengths
-    of the path's segments.
-    """
-    if side not in (POSITIVE, NEGATIVE):
-        raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}")
-    tables = _shared_tables(polygon, tie_break)
-    indices = _path_indices(path, tables)
-    value = _side_walker(tables, side)(indices, sum(1 << i for i in indices))
-    points = [tables.points[i] for i in indices]
-    return gw_from_pair(value, [lattice_length(p, q) for p, q in zip(points, points[1:])])
 
 
 def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GWElement:
@@ -173,6 +158,12 @@ def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GW
 
     ``g`` may drop below zero (counts of disconnected curves); it is capped
     above by the number of interior lattice points.
+
+    The paths are built one point at a time from left to right.  Each side
+    keeps its open piece, the points since the last point on its boundary
+    chain; a point on the chain closes the piece, whose multiplicity then
+    multiplies in (a zero prunes every path through it).  The sum over all
+    completions depends only on the two open pieces and the steps left.
     """
     if g > polygon.interior_count():
         raise ValueError(f"genus {g} exceeds the interior point count")
@@ -180,50 +171,41 @@ def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GW
     if n_steps < 1:
         raise ValueError(f"no paths with {n_steps} steps")
     tables = _tables(polygon, tie_break)
-    # The side with the longer boundary chain is zero on more paths, so it
-    # goes first and the other side is evaluated only where it is nonzero.
-    first, second = sorted(
-        (POSITIVE, NEGATIVE), key=lambda side: -tables.chain[side].bit_count()
-    )
-    first, second = _side_walker(tables, first), _side_walker(tables, second)
     last = len(tables.points) - 1
-    bit = [1 << i for i in range(last + 1)]
-    rank = signature = 0
-    for middle in combinations(range(1, last), n_steps - 1):
-        path = (0, *middle, last)
-        mask = bit[0] + bit[last] + sum(map(bit.__getitem__, middle))
-        first_rank, first_signature = first(path, mask)
-        if not first_rank:
-            continue
-        second_rank, second_signature = second(path, mask)
-        rank += first_rank * second_rank
-        signature += first_signature * second_signature
-    return gw_from_pair((rank, signature))
+    pos_chain, neg_chain = tables.chain[POSITIVE], tables.chain[NEGATIVE]
+    pos, neg = _side_walker(tables, POSITIVE), _side_walker(tables, NEGATIVE)
+    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
+    def completions(pos_piece, pos_mask, neg_piece, neg_mask, steps):
+        key = pos_mask, neg_mask, steps
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        rank = signature = 0
+        # the last point ends the path, and each step needs a point after it
+        nexts = (last,) if steps == 1 else range(pos_piece[-1] + 1, last - steps + 2)
+        for p in nexts:
+            bit = 1 << p
+            p_piece, p_mask = pos_piece + (p,), pos_mask | bit
+            n_piece, n_mask = neg_piece + (p,), neg_mask | bit
+            p_rank = p_signature = 1
+            if pos_chain & bit:
+                p_rank, p_signature = pos(p_piece, p_mask)
+                if not p_rank:
+                    continue
+                p_piece, p_mask = (p,), bit
+            if neg_chain & bit:
+                n_rank, n_signature = neg(n_piece, n_mask)
+                if not n_rank:
+                    continue
+                p_rank, p_signature = p_rank * n_rank, p_signature * n_signature
+                n_piece, n_mask = (p,), bit
+            if steps > 1:
+                c_rank, c_signature = completions(p_piece, p_mask, n_piece, n_mask, steps - 1)
+                p_rank, p_signature = p_rank * c_rank, p_signature * c_signature
+            rank += p_rank
+            signature += p_signature
+        result = memo[key] = (rank, signature) if rank else (0, 0)
+        return result
 
-def _side_reductions(path: tuple[int, ...], tables: _Tables, side: str):
-    """All successful reductions of one side: (triangles, parallelograms)."""
-    turn = _first_turn(path, tables.move[side])
-    if turn is None:
-        if sum(1 << i for i in path) == tables.chain[side]:
-            yield (), ()
-        return
-    j, (_, r) = turn
-    corner = tuple(tables.points[i] for i in path[j - 1:j + 2])
-    for tris, pars in _side_reductions(path[:j] + path[j + 1:], tables, side):
-        yield tris + (corner,), pars
-    if r >= 0:
-        shifted = path[:j] + (r,) + path[j + 1:]
-        for tris, pars in _side_reductions(shifted, tables, side):
-            yield tris, pars + (corner,)
-
-
-def path_subdivisions(path, polygon: Polygon, tie_break: str = "ydesc"):
-    """Dual subdivisions realized by the path; one per successful branch pair."""
-    tables = _shared_tables(polygon, tie_break)
-    indices = _path_indices(path, tables)
-    for tris_p, pars_p in _side_reductions(indices, tables, POSITIVE):
-        for tris_n, pars_n in _side_reductions(indices, tables, NEGATIVE):
-            yield DualSubdivision(
-                triangles=tris_p + tris_n, parallelograms=pars_p + pars_n
-            )
+    return gw_from_pair(completions((0,), 1, (0,), 1, n_steps))

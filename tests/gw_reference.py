@@ -9,10 +9,12 @@ computed values.  Floor counts walk one diagram at a time here:
 counts its markings, sharing only the end-attachment walker and the
 interleaving count with the package, whose own walk builds no diagram and
 whose connected counts come from the exponential formula.  The lattice
-paths are enumerated here by brute force, with their own boundary chains and point-tuple
-walker; the templates by filtering edge multisets through ``Template``,
-and each template sequence is placed on its own, with the orderings
-counted per placement.  The checks of an explicit dual subdivision
+paths are enumerated here by brute force, with their own boundary chains
+and point-tuple walker, and single paths are evaluated on the package's
+index tables and side walker (``walker_path_mult``, ``path_subdivisions``,
+which only tests call); the templates by filtering edge multisets through
+``Template``, and each template sequence is placed on its own, with the
+orderings counted per placement.  The checks of an explicit dual subdivision
 against its polygon (area and boundary end weights) live here too, as only
 tests build subdivisions.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product as cartesian
 
 from tropgw.ch import (
@@ -33,7 +36,7 @@ from tropgw.ch import (
 )
 from tropgw.curves import triangle_mult
 from tropgw.floors import _attachments, count_interleavings, edge_mult
-from tropgw.gw import ONE, ZERO, GWElement
+from tropgw.gw import ONE, ZERO, GWElement, gw_from_pair
 from tropgw.lattice import (
     DualSubdivision,
     Polygon,
@@ -41,7 +44,14 @@ from tropgw.lattice import (
     lattice_length,
     normalized_area,
 )
-from tropgw.paths import NEGATIVE, POSITIVE, lambda_key
+from tropgw.paths import (
+    NEGATIVE,
+    POSITIVE,
+    _first_turn,
+    _side_walker,
+    _tables,
+    lambda_key,
+)
 from tropgw.templates import Template
 
 
@@ -226,6 +236,69 @@ def count_lattice_path(polygon, g, tie_break="ydesc") -> GWElement:
         neg = _side(path, NEGATIVE, polygon, chains[NEGATIVE], memos[NEGATIVE])
         total = total + pos * neg
     return total
+
+
+# -- one path on the package's tables ----------------------------------------
+
+# walker_path_mult and path_subdivisions evaluate one path per call, and
+# building the tables costs more than the walk, so they share the tables of
+# recent (polygon, tie-break) pairs.
+_shared_tables = lru_cache(maxsize=8)(_tables)
+
+
+def _path_indices(path, tables) -> tuple[int, ...]:
+    """The path as point indices; ValueError unless it is an increasing
+    path of lattice points of the polygon."""
+    indices = []
+    for p in path:
+        p = tuple(p)
+        if p not in tables.index:
+            raise ValueError(f"path leaves the polygon at {p}")
+        indices.append(tables.index[p])
+    if any(j <= i for i, j in zip(indices, indices[1:])):
+        raise ValueError("path is not strictly increasing in the path order")
+    return tuple(indices)
+
+
+def walker_path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc") -> GWElement:
+    """Completion multiplicity of a path on one side, by the package's side
+    walker.  Its class is that of the product of the lattice lengths of the
+    path's segments."""
+    if side not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}")
+    tables = _shared_tables(polygon, tie_break)
+    indices = _path_indices(path, tables)
+    value = _side_walker(tables, side)(indices, sum(1 << i for i in indices))
+    points = [tables.points[i] for i in indices]
+    return gw_from_pair(value, [lattice_length(p, q) for p, q in zip(points, points[1:])])
+
+
+def _side_reductions(path: tuple[int, ...], tables, side: str):
+    """All successful reductions of one side: (triangles, parallelograms)."""
+    turn = _first_turn(path, tables.move[side])
+    if turn is None:
+        if sum(1 << i for i in path) == tables.chain[side]:
+            yield (), ()
+        return
+    j, (_, r) = turn
+    corner = tuple(tables.points[i] for i in path[j - 1:j + 2])
+    for tris, pars in _side_reductions(path[:j] + path[j + 1:], tables, side):
+        yield tris + (corner,), pars
+    if r >= 0:
+        shifted = path[:j] + (r,) + path[j + 1:]
+        for tris, pars in _side_reductions(shifted, tables, side):
+            yield tris, pars + (corner,)
+
+
+def path_subdivisions(path, polygon: Polygon, tie_break: str = "ydesc"):
+    """Dual subdivisions realized by the path; one per successful branch pair."""
+    tables = _shared_tables(polygon, tie_break)
+    indices = _path_indices(path, tables)
+    for tris_p, pars_p in _side_reductions(indices, tables, POSITIVE):
+        for tris_n, pars_n in _side_reductions(indices, tables, NEGATIVE):
+            yield DualSubdivision(
+                triangles=tris_p + tris_n, parallelograms=pars_p + pars_n
+            )
 
 
 # -- floor diagrams and templates ------------------------------------------

@@ -441,6 +441,7 @@ def test_connected_counts_match_reference_filter():
         (0, 3, (1, 1, 1), (1, 1, 1), 0),
         (1, 2, (2, 1, 1), (1, 1), 0),
         (2, 2, (1,) * 5, (1,), 0),
+        (2, 3, (2, 2, 1, 1, 1, 1, 1, 1, 1), (2, 3), -1),
     ]
     cases += [c for c in GRID_FLOOR_CASES if set(c[2]) & set(c[3]) and c[1] < 3]
     for k, a, wl, wr, g in cases:
@@ -448,6 +449,7 @@ def test_connected_counts_match_reference_filter():
         expected = ref.floor_count(k, a, wl, wr, g, connected=True)
         assert pair(value) == pair(expected), (k, a, wl, wr, g)
     assert pair(floor_count(1, 3, (3, 2, 1), (2, 1), -1, connected=True)) == (0, 0)
+    assert pair(delta_floor_count(4, -1, connected=True)) == (0, 0)
 
 
 def test_connected_rational_curves_are_kontsevich_and_welschinger():

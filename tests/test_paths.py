@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import gw_reference as ref
+from tropgw.ch import ch_count
 from tropgw.curves import SimpleCurve, VertexStar, arith_mult, vertex_mult
 from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render, square_free
 from tropgw.lattice import (
@@ -14,10 +15,9 @@ from tropgw.lattice import (
 from tropgw.paths import (
     NEGATIVE,
     POSITIVE,
+    _tables,
     count_lattice_path,
     lambda_key,
-    path_mult,
-    path_subdivisions,
 )
 
 
@@ -32,21 +32,21 @@ def test_path_mult_base_cases():
     tri = delta_polygon(2)
     # the lower boundary chain carries multiplicity one on its own side
     lower = ((0, 2), (0, 1), (0, 0), (1, 0), (2, 0))
-    assert path_mult(lower, tri, NEGATIVE) in (ONE,) or path_mult(
-        lower, tri, POSITIVE
-    ) in (ONE,)
-    sides = {path_mult(lower, tri, s) for s in (POSITIVE, NEGATIVE)}
+    assert ref.walker_path_mult(lower, tri, NEGATIVE) in (ONE,) or (
+        ref.walker_path_mult(lower, tri, POSITIVE) in (ONE,)
+    )
+    sides = {ref.walker_path_mult(lower, tri, s) for s in (POSITIVE, NEGATIVE)}
     assert ONE in sides
 
 
 def test_path_mult_validation():
     tri = delta_polygon(2)
     with pytest.raises(ValueError):
-        path_mult(((0, 2), (5, 5)), tri, POSITIVE)
+        ref.walker_path_mult(((0, 2), (5, 5)), tri, POSITIVE)
     with pytest.raises(ValueError):
-        path_mult(((0, 0), (0, 2)), tri, POSITIVE)  # not increasing
+        ref.walker_path_mult(((0, 0), (0, 2)), tri, POSITIVE)  # not increasing
     with pytest.raises(ValueError):
-        path_mult(((0, 2), (2, 0)), tri, "up")
+        ref.walker_path_mult(((0, 2), (2, 0)), tri, "up")
 
 
 def test_full_path_counts_once():
@@ -107,14 +107,19 @@ def test_rank_and_signature_specializations():
                 assert value.signature == expected.signature
 
 
-def test_counts_match_brute_force_oracle():
-    # the reference enumerates every path with its own chains and walker
+def oracle_cases():
+    """(polygon, lowest genus) pairs of the brute-force comparison."""
     d4 = delta_polygon(4)
     sheared = Polygon.from_vertices([(x + 7, y - 2 * x + 20) for x, y in d4.vertices])
     cases = [(d4, -2), (sheared, -2), (delta_polygon(5), 3)]
     for k, a, b in ((1, 2, 1), (2, 2, 1), (0, 2, 2), (1, 3, 1), (0, 3, 2)):
         cases.append((hirzebruch_polygon(k, a, b), -1))
-    for polygon, gmin in cases:
+    return cases
+
+
+def test_counts_match_brute_force_oracle():
+    # the reference enumerates every path with its own chains and walker
+    for polygon, gmin in oracle_cases():
         for g in range(gmin, polygon.interior_count() + 1):
             for tie_break in ("ydesc", "yasc"):
                 value = count_lattice_path(polygon, g, tie_break)
@@ -122,6 +127,29 @@ def test_counts_match_brute_force_oracle():
                 assert gw_equal(value, expected), (polygon, g, tie_break)
                 assert value.rank == expected.rank
                 assert value.signature == expected.signature
+
+
+def test_chain_points_never_turn_toward_their_side():
+    # the transfer closes a side's piece at each of its chain points
+    for polygon, _ in oracle_cases():
+        for tie_break in ("ydesc", "yasc"):
+            tables = _tables(polygon, tie_break)
+            n = len(tables.points)
+            for side in (POSITIVE, NEGATIVE):
+                chain = [b for b in range(n) if tables.chain[side] >> b & 1]
+                assert len(chain) >= 2
+                for b in chain:
+                    for a, c in itertools.product(range(b), range(b + 1, n)):
+                        assert tables.move[side][a][b][c] is None, (polygon, side, a, b, c)
+
+
+def test_delta6_counts_match_recursion():
+    for g in range(3, 11):
+        expected = ch_count(6, g)
+        for tie_break in ("ydesc", "yasc"):
+            value = count_lattice_path(delta_polygon(6), g, tie_break)
+            assert value.rank == expected.rank, (g, tie_break)
+            assert value.signature == expected.signature, (g, tie_break)
 
 
 def test_path_mult_sides_match_gw_reference():
@@ -136,7 +164,7 @@ def test_path_mult_sides_match_gw_reference():
             for p, q in zip(path, path[1:]):
                 w *= lattice_length(p, q)
             for side in (POSITIVE, NEGATIVE):
-                value = path_mult(path, polygon, side)
+                value = ref.walker_path_mult(path, polygon, side)
                 expected = ref.path_mult(path, polygon, side)
                 assert gw_equal(value, expected), (path, side)
                 assert value.rank == expected.rank
@@ -169,7 +197,7 @@ def test_vertex_factorization_of_path_subdivisions():
     for size in (5, 6, 7, 8):
         for middle in itertools.combinations(points[1:-1], size):
             path = (points[0],) + middle + (points[-1],)
-            for sub in path_subdivisions(path, polygon):
+            for sub in ref.path_subdivisions(path, polygon):
                 assert ref.piece_area2(sub) == polygon.area2
                 curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
                 product = ONE
@@ -195,7 +223,7 @@ def test_vertex_factorization_larger_degrees():
             size = rng.randint(len(interior) - 4, len(interior))
             middle = sorted(rng.sample(range(len(interior)), size))
             path = (points[0],) + tuple(interior[i] for i in middle) + (points[-1],)
-            for sub in path_subdivisions(path, polygon):
+            for sub in ref.path_subdivisions(path, polygon):
                 curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
                 product = ONE
                 for tri in sub.triangles:

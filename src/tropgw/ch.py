@@ -85,22 +85,26 @@ def _seq_add(a: Sequence, k: int, delta: int) -> Sequence:
     return _strip(lst)
 
 
-def weighted_partitions(total: int):
-    """All trimmed sequences gamma with sum_i i*gamma_i = total."""
-    def rec(remaining: int, max_part: int):
+def weighted_partitions(total: int, fewest: int = 0, most: int | None = None):
+    """All trimmed sequences gamma with sum_i i*gamma_i = total and between
+    ``fewest`` and ``most`` parts sum_i gamma_i (``most=None``: no bound)."""
+    def rec(remaining: int, top: int, fewest: int, most: int):
+        # parts of size at most ``top`` make up ``remaining``
         if remaining == 0:
-            yield ()
+            if fewest <= 0 <= most:
+                yield ()
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            for count in range(remaining // part, 0, -1):
-                for rest in rec(remaining - part * count, part - 1):
-                    seq = [0] * part
-                    seq[part - 1] = count
-                    for i, n in enumerate(rest):
-                        seq[i] += n
-                    yield tuple(seq)
+        for part in range(min(remaining, top), 0, -1):
+            if remaining > part * most:  # smaller parts need even more of them
+                return
+            for n in range(min(remaining // part, most), 0, -1):
+                rest = remaining - part * n
+                if rest > (part - 1) * (most - n) or rest < fewest - n:
+                    continue
+                for seq in rec(rest, part - 1, fewest - n, most - n):
+                    yield seq + (0,) * (part - 1 - len(seq)) + (n,)
 
-    yield from rec(total, total)
+    yield from rec(total, total, fewest, total if most is None else most)
 
 
 _memo: dict = {}
@@ -147,12 +151,10 @@ def _floor_terms(d: int, beta: Sequence, target: int) -> list[tuple]:
     """The floors of degree d whose new free ends gamma have I(gamma) =
     target: (|gamma| - 1, beta + gamma, b * I^gamma, b * (I^gamma mod 2))
     with b = binom(beta + gamma, beta); a floor shifts the genus by
-    |gamma| - 1."""
+    |gamma| - 1, at most d - 2, so gamma has at most d - 1 parts."""
     terms = []
-    for gamma in weighted_partitions(target):
+    for gamma in weighted_partitions(target, most=d - 1):
         shift = sum(gamma) - 1
-        if shift > d - 2:
-            continue
         beta_p = tuple(map(sum, zip_longest(beta, gamma, fillvalue=0)))
         prod_gamma = prod(k**n for k, n in enumerate(gamma, start=1))
         binom_beta = prod(map(comb, beta_p, beta))

@@ -32,7 +32,7 @@ import os
 import sys
 
 from . import ch
-from .gw import GWElement, gw_equal, gw_from_pair, gw_to_json, render
+from .gw import GWElement, gw_equal, gw_from_pair, render
 
 CACHE_ENV = "TROPGW_CACHE"
 CACHE_VERSION = 3
@@ -174,7 +174,7 @@ def _result_row(args, method: str, g_or_delta, value: GWElement, d=None) -> dict
         "rank": value.rank,
         "signature": value.signature,
         "display": render(value),
-        "classes": gw_to_json(value)["classes"],
+        "classes": [{"rep": r, "mult": m} for r, m in value.terms],
     }
 
 

@@ -1,15 +1,15 @@
-"""Complex, real and quadratic-form multiplicities of simple tropical curves.
+"""Quadratic-form multiplicities of trivalent tropical vertices, and wall
+crossing.
 
-A simple curve is recorded through its dual subdivision (triangles and
-parallelograms) together with the weights of its unbounded ends.  The
-quadratic-form multiplicity interpolates the complex count (its rank) and
-the signed real count (its signature, when all edge weights are odd):
+A vertex whose dual triangle has normalized area m, side lengths
+w_1, w_2, w_3 and i interior lattice points weighs (``triangle_mult``)
 
-* complex multiplicity odd:  (m-1)/2 * H + <(-1)^i * w_1 ... w_k>
-* complex multiplicity even: (m/2) * H
+* m odd:  (m-1)/2 * H + <(-1)^i * w_1 w_2 w_3>
+* m even: (m/2) * H
 
-with m the product of triangle areas and i the total number of interior
-lattice points of the triangles.
+``resolve_wall`` splits a balanced 4-valent star into its three trivalent
+resolutions and returns the distinguished one and the sum of the other
+two, which the ``wallcheck`` command compares.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .gw import GWElement, ZERO, diag, hyperbolic
-from .lattice import DualSubdivision, Point, interior_points, normalized_area, primitive
+from .lattice import Point, primitive
 
 
 class DegenerateStarError(ValueError):
@@ -31,32 +31,6 @@ def triangle_mult(area: int, side_lengths, interior: int) -> GWElement:
         return hyperbolic(area // 2)
     sign = -1 if interior % 2 else 1
     return hyperbolic((area - 1) // 2) + diag(sign * prod(side_lengths))
-
-
-@dataclass(frozen=True)
-class SimpleCurve:
-    subdivision: DualSubdivision
-    end_weights: tuple[int, ...]
-
-
-def complex_mult(curve: SimpleCurve) -> int:
-    return prod(normalized_area(*t) for t in curve.subdivision.triangles)
-
-
-def real_mult(curve: SimpleCurve) -> int:
-    if any(length % 2 == 0 for length in curve.subdivision.edge_lengths()):
-        return 0
-    i = sum(interior_points(*t) for t in curve.subdivision.triangles)
-    return -1 if i % 2 else 1
-
-
-def arith_mult(curve: SimpleCurve) -> GWElement:
-    m = complex_mult(curve)
-    if m % 2 == 0:
-        return hyperbolic(m // 2)
-    i = sum(interior_points(*t) for t in curve.subdivision.triangles)
-    sign = -1 if i % 2 else 1
-    return hyperbolic((m - 1) // 2) + diag(sign * prod(curve.end_weights))
 
 
 @dataclass(frozen=True)

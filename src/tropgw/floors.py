@@ -23,8 +23,9 @@ profile.  ``_edge_tuples`` then adds, floor by floor, outgoing edges
 carrying exactly the flow each gap still lacks.  Every attachment of a
 profile gives each of its diagrams divergence k on every floor, so the
 markings of one edge tuple are the vertex orders summed over the
-profile's attachments.  A bare horizontal line meets one point, placed
-anywhere among the others.
+profile's attachments (``count_interleavings``, the sum of the table
+{load vector: orderings} that the templates share).  A bare horizontal
+line meets one point, placed anywhere among the others.
 
 Counts without right ends (every plane curve count, the relative counts
 with free left ends, left-end-only Hirzebruch counts) run one transfer,
@@ -60,7 +61,7 @@ from collections import Counter, defaultdict
 from itertools import product
 from math import comb, factorial, prod
 
-from .ch import max_genus
+from .ch import max_genus, weighted_partitions
 from .gw import GWElement, gw_from_pair
 
 
@@ -78,33 +79,37 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def count_interleavings(num_gaps: int, classes) -> int:
-    """Orderings of indistinguishable-within-class items into ordered gaps.
+def _spread_table(num_gaps: int, classes) -> dict[tuple[int, ...], int]:
+    """{load vector: orderings} of identical-within-class items in ordered gaps.
 
     ``classes`` lists (lo, hi, count): each class puts ``count`` identical
     items somewhere in gaps lo..hi.  Items in one gap can be permuted
     arbitrarily, so putting c more items of a class into a gap that holds
-    ``load`` items multiplies the number of orderings by C(load + c, c).
+    ``load`` items multiplies the orderings by C(load + c, c).  A load
+    vector maps to the orderings summed over the spreads that give it.
     """
-    classes = [c for c in classes if c[2] > 0]
-    loads = [0] * num_gaps
+    table = {(0,) * num_gaps: 1}
+    for lo, hi, count in classes:
+        if not count:
+            continue
+        grown: dict[tuple[int, ...], int] = {}
+        for loads, ways in table.items():
+            for comp in _compositions(count, hi - lo + 1):
+                new = list(loads)
+                spread = ways
+                for gap, c in enumerate(comp, lo):
+                    spread *= comb(new[gap] + c, c)
+                    new[gap] += c
+                key = tuple(new)
+                grown[key] = grown.get(key, 0) + spread
+        table = grown
+    return table
 
-    def rec(idx: int) -> int:
-        if idx == len(classes):
-            return 1
-        lo, hi, count = classes[idx]
-        total = 0
-        for comp in _compositions(count, hi - lo + 1):
-            ways = 1
-            for gap, c in enumerate(comp, lo):
-                ways *= comb(loads[gap] + c, c)
-                loads[gap] += c
-            total += ways * rec(idx + 1)
-            for gap, c in enumerate(comp, lo):
-                loads[gap] -= c
-        return total
 
-    return rec(0)
+def count_interleavings(num_gaps: int, classes) -> int:
+    """Orderings of identical-within-class items in ordered gaps, summed
+    over every load vector of ``_spread_table(num_gaps, classes)``."""
+    return sum(_spread_table(num_gaps, classes).values())
 
 
 def _attachments(k: int, a: int, w_left, w_right, caps, spare: int):
@@ -251,25 +256,6 @@ def _takes(items, need: int, ordered: bool):
     return found
 
 
-def _edge_splits(total: int, top: int, fewest: int, most: int):
-    """The multisets of between ``fewest`` and ``most`` weights, each at
-    most ``top``, that sum to ``total``: tuples of classes (w, n), w
-    decreasing."""
-    if total == 0:
-        if fewest <= 0:
-            yield ()
-        return
-    for w in range(min(total, top), 0, -1):
-        if total > w * most:  # lighter weights need even more parts
-            return
-        for n in range(min(total // w, most), 0, -1):
-            rest = total - w * n
-            if rest > (w - 1) * (most - n) or rest < fewest - n:
-                continue
-            for tail in _edge_splits(rest, w - 1, fewest - n, most - n):
-                yield ((w, n),) + tail
-
-
 def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
     """(rank, signature) of sum nu(D) * mult(D) over every diagram with
     left ends ``w_left``, no right ends and a + g - 1 edges.
@@ -288,7 +274,9 @@ def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
     left ends it takes and the edges that end on it among the placed ones:
     picking C(placed, m) of them, gap by gap, counts every labelling of
     the placed items once (Vandermonde).  It then starts edges whose
-    weights partition its out-flow, at (w^2, w mod 2) each.  With
+    weights partition its out-flow, at (w^2, w mod 2) each: the partitions
+    come from ``ch.weighted_partitions`` with the part-count bounds below,
+    and their classes (w, n) are read off once per (out-flow, bounds).  With
     cap_q = (a - q) * k the most flow gap q carries, the edges started
     at floors 1..v are at least sum(cap_q, q <= v) - S, where S is the
     budget of the module docstring, and at most a + g - 1; at floor a - 1
@@ -309,13 +297,11 @@ def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
         key = (out, fewest, most)
         if key not in starts:
             starts[key] = []
-            for classes in _edge_splits(out, out, fewest, most):
-                rank = signature = 1
-                for w, n in classes:
-                    rank *= w ** (2 * n)
-                    signature *= (w % 2) ** n
-                parts = sum(n for _, n in classes)
-                starts[key].append((classes, parts, rank, signature))
+            for gamma in weighted_partitions(out, fewest, most):
+                classes = tuple((w, n) for w, n in enumerate(gamma, 1) if n)
+                rank = prod(w ** (2 * n) for w, n in classes)
+                signature = prod((w % 2) ** n for w, n in classes)
+                starts[key].append((classes, sum(gamma), rank, signature))
         return starts[key]
 
     n_weights = len(weights)

@@ -314,11 +314,3 @@ def render(x: GWElement) -> str:
         else:
             out.append(("- " if neg else "+ ") + body)
     return " ".join(out)
-
-
-def gw_to_json(x: GWElement) -> dict:
-    """JSON encoding: square-free reps sorted by (|rep|, sign), plus display."""
-    return {
-        "classes": [{"rep": r, "mult": m} for r, m in x.terms],
-        "display": render(x),
-    }

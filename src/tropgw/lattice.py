@@ -1,4 +1,4 @@
-"""Lattice polygons and dual subdivisions.
+"""Convex lattice polygons.
 
 Points are plain integer pairs.  Areas are normalized (twice Euclidean),
 so the unit triangle has area 1.
@@ -17,23 +17,6 @@ def lattice_length(p: Point, q: Point) -> int:
     if p == q:
         raise ValueError(f"degenerate segment at {p}")
     return gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
-
-
-def normalized_area(a: Point, b: Point, c: Point) -> int:
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if det == 0:
-        raise ValueError(f"collinear triangle {a}, {b}, {c}")
-    return abs(det)
-
-
-def triangle_boundary_count(a: Point, b: Point, c: Point) -> int:
-    return lattice_length(a, b) + lattice_length(b, c) + lattice_length(c, a)
-
-
-def interior_points(a: Point, b: Point, c: Point) -> int:
-    """Lattice points strictly inside the triangle, via Pick's identity."""
-    area = normalized_area(a, b, c)
-    return (area - triangle_boundary_count(a, b, c) + 2) // 2
 
 
 def primitive(v: Point) -> tuple[Point, int]:
@@ -131,24 +114,3 @@ def hirzebruch_polygon(k: int, a: int, b: int) -> Polygon:
     if a * k + b == 0:
         return Polygon.from_vertices([(0, 0), (a, 0), (a, b)])
     return Polygon.from_vertices([(0, 0), (a, 0), (a, b), (0, a * k + b)])
-
-
-@dataclass(frozen=True)
-class DualSubdivision:
-    """Triangles and parallelograms tiling a polygon.
-
-    A parallelogram is stored by three corners (a, b, c) with the fourth
-    implied as a + c - b.
-    """
-
-    triangles: tuple[tuple[Point, Point, Point], ...]
-    parallelograms: tuple[tuple[Point, Point, Point], ...] = ()
-
-    def edge_lengths(self) -> list[int]:
-        out = []
-        for a, b, c in self.triangles:
-            out += [lattice_length(a, b), lattice_length(b, c), lattice_length(c, a)]
-        for a, b, c in self.parallelograms:
-            out += [lattice_length(a, b), lattice_length(b, c)] * 2
-        return out
-

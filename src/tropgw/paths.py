@@ -34,6 +34,7 @@ given by the parity of its interior lattice points.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -105,52 +106,59 @@ def _first_turn(path: tuple[int, ...], move: list, start: int = 1):
     return None
 
 
+def _side_value(move: list, chain: int, memo: dict, path: tuple[int, ...], mask: int,
+                start: int = 1) -> tuple[int, int]:
+    """The completion multiplicity of one side for an increasing path whose
+    ends lie on the side's boundary chain, memoized on the mask."""
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    inner = mask & chain & ~(1 << path[0] | 1 << path[-1])
+    if inner:
+        b = (inner & -inner).bit_length() - 1
+        j, low = path.index(b), (2 << b) - 1
+        rank, signature = _side_value(move, chain, memo, path[:j + 1], mask & low)
+        if rank:
+            r_rank, r_signature = _side_value(
+                move, chain, memo, path[j:], mask & ~low | 1 << b
+            )
+            rank, signature = rank * r_rank, signature * r_signature
+    else:
+        turn = _first_turn(path, move, start)
+        if turn is None:
+            flat = chain & (2 << path[-1]) - (1 << path[0])
+            rank, signature = (1, 1) if mask == flat else (0, 0)
+        else:
+            # corners left of j - 1 are untouched by the move at j
+            j, ((tri_rank, tri_signature), r) = turn
+            b, resume = path[j], j - 1 or 1
+            rank, signature = _side_value(
+                move, chain, memo, path[:j] + path[j + 1:], mask ^ 1 << b, resume
+            )
+            rank, signature = tri_rank * rank, tri_signature * signature
+            if r >= 0:
+                r_rank, r_signature = _side_value(
+                    move, chain, memo, path[:j] + (r,) + path[j + 1:],
+                    mask ^ 1 << b | 1 << r, resume,
+                )
+                rank, signature = rank + r_rank, signature + r_signature
+    # zeros, the most common value, share one tuple
+    result = memo[mask] = (rank, signature) if rank else (0, 0)
+    return result
+
+
 def _side_walker(tables: _Tables, side: str):
     """The completion multiplicity of one side, as a function of
     (path, mask) for an increasing path whose ends lie on the side's
-    boundary chain, memoized on the mask.
+    boundary chain, with a memo of its own.
 
     A corner whose middle point lies on the chain never turns toward the
     side (the polygon is convex), so such a point is never cut or moved:
     the path splits there into pieces whose multiplicities multiply.  A
-    piece is flat when its mask is the chain between its ends.
+    piece is flat when its mask is the chain between its ends.  The
+    function holds no reference to itself, so its memo goes with it.
     """
-    move, chain = tables.move[side], tables.chain[side]
-    memo: dict[int, tuple[int, int]] = {}
-
-    def value(path: tuple[int, ...], mask: int, start: int = 1) -> tuple[int, int]:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        inner = mask & chain & ~(1 << path[0] | 1 << path[-1])
-        if inner:
-            b = (inner & -inner).bit_length() - 1
-            j, low = path.index(b), (2 << b) - 1
-            rank, signature = value(path[:j + 1], mask & low)
-            if rank:
-                r_rank, r_signature = value(path[j:], mask & ~low | 1 << b)
-                rank, signature = rank * r_rank, signature * r_signature
-        else:
-            turn = _first_turn(path, move, start)
-            if turn is None:
-                flat = chain & (2 << path[-1]) - (1 << path[0])
-                rank, signature = (1, 1) if mask == flat else (0, 0)
-            else:
-                # corners left of j - 1 are untouched by the move at j
-                j, ((tri_rank, tri_signature), r) = turn
-                b, resume = path[j], j - 1 or 1
-                rank, signature = value(path[:j] + path[j + 1:], mask ^ 1 << b, resume)
-                rank, signature = tri_rank * rank, tri_signature * signature
-                if r >= 0:
-                    r_rank, r_signature = value(
-                        path[:j] + (r,) + path[j + 1:], mask ^ 1 << b | 1 << r, resume
-                    )
-                    rank, signature = rank + r_rank, signature + r_signature
-        # zeros, the most common value, share one tuple
-        result = memo[mask] = (rank, signature) if rank else (0, 0)
-        return result
-
-    return value
+    return partial(_side_value, tables.move[side], tables.chain[side], {})
 
 
 def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GWElement:
@@ -208,4 +216,9 @@ def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GW
         result = memo[key] = (rank, signature) if rank else (0, 0)
         return result
 
-    return gw_from_pair(completions((0,), 1, (0,), 1, n_steps))
+    try:
+        return gw_from_pair(completions((0,), 1, (0,), 1, n_steps))
+    finally:
+        # the closure refers to itself through this cell; without the cycle
+        # its memo and the side walkers go when the call returns
+        completions = None

@@ -14,8 +14,9 @@ number of orderings of its black vertices against the parallel weight-1
 edges inside its span.  Gap v of a template at position k carries
 m - v - c_v such short edges, m = d - k and c_v the template's own weight
 across the gap, so that number depends on m alone.  Each template folds
-its edge classes once into a table {load vector: ways}, and the counts run
-as one transfer over (m, cogenus left), shared by every degree.  The sum
+its edge classes once into a table {load vector: orderings}, the one that
+``floors.count_interleavings`` sums for the floor diagrams, and the counts
+run as one transfer over (m, cogenus left), shared by every degree.  The sum
 runs on exact (rank, signature) pairs, multiplied componentwise; every end
 has weight one, so the count is p*H + q*<1>.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .floors import _compositions, edge_mult
+from .floors import _spread_table, edge_mult
 from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]
@@ -118,29 +119,6 @@ def _crossings(t: Template) -> list[int]:
     ]
 
 
-def _load_table(t: Template) -> dict[tuple[int, ...], int]:
-    """{load vector: ways} of the template's black vertices in its gaps.
-
-    Identical edges (i, j, w) form one class of interchangeable black
-    vertices in gaps i..j-1; the ways of a load vector count the orderings
-    inside each gap over all spreads of the classes that give those loads.
-    """
-    table = {(0,) * t.length: 1}
-    for (i, j, _), count in Counter(t.edges).items():
-        grown: dict[tuple[int, ...], int] = {}
-        for loads, ways in table.items():
-            for comp in _compositions(count, j - i):
-                new = list(loads)
-                spread = ways
-                for gap, c in enumerate(comp, i):
-                    spread *= comb(new[gap] + c, c)
-                    new[gap] += c
-                key = tuple(new)
-                grown[key] = grown.get(key, 0) + spread
-        table = grown
-    return table
-
-
 def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
     """(rank, signature) of the delta-node count for each degree.
 
@@ -168,7 +146,9 @@ def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
         m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
         if m_min > top:
             continue
-        table = _load_table(t).items()
+        # identical edges (i, j, w) are one class of black vertices in gaps i..j-1
+        classes = [(i, j - 1, n) for (i, j, _), n in Counter(t.edges).items()]
+        table = _spread_table(t.length, classes).items()
         orderings = [0] * (top + 1)
         for m in range(m_min, top + 1):
             shorts = [m - v - c for v, c in enumerate(crossings)]
@@ -307,21 +287,16 @@ class NodePolynomialFit:
     values: tuple[tuple[int, int, int], ...]  # (d, P-part, Q-part)
 
 
-def fit_node_polynomial(
-    delta: int,
-    d_start: int | None = None,
-    n_holdout: int = 2,
-) -> NodePolynomialFit:
+def fit_node_polynomial(delta: int, n_holdout: int = 2) -> NodePolynomialFit:
     """Interpolate the H- and <1>-coefficients of the delta-node counts.
 
-    Samples 2*delta + 1 degrees starting at d_start (default delta + 1),
-    checks the fit on n_holdout further degrees, and reports the smallest
-    degree from which the computed values follow the polynomials.
+    Samples the 2*delta + 1 degrees from delta + 1 on, checks the fit on
+    n_holdout further degrees, and reports the smallest degree from which
+    the computed values follow the polynomials.
     """
     if delta < 0 or n_holdout < 0:
         raise ValueError("delta and n_holdout must be nonnegative")
-    if d_start is None:
-        d_start = delta + 1
+    d_start = delta + 1
     degree = 2 * delta
     top = d_start + degree + n_holdout
     values = []

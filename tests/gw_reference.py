@@ -14,8 +14,10 @@ and point-tuple walker, and single paths are evaluated on the package's
 index tables and side walker (``walker_path_mult``, ``path_subdivisions``,
 which only tests call); the templates by filtering edge multisets through
 ``Template``, and each template sequence is placed on its own, with the
-orderings counted per placement.  The checks of an explicit dual subdivision
-against its polygon (area and boundary end weights) live here too, as only
+orderings counted per placement.  Explicit dual subdivisions and the simple
+curves on them (``DualSubdivision``, ``SimpleCurve`` with its complex, real
+and arithmetic multiplicities) live here too, with the checks of a
+subdivision against its polygon (area and boundary end weights), as only
 tests build subdivisions.
 """
 
@@ -25,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as cartesian
+from math import prod
 
 from tropgw.ch import (
     _seq_add,
@@ -36,14 +39,8 @@ from tropgw.ch import (
 )
 from tropgw.curves import triangle_mult
 from tropgw.floors import _attachments, count_interleavings, edge_mult
-from tropgw.gw import ONE, ZERO, GWElement, gw_from_pair
-from tropgw.lattice import (
-    DualSubdivision,
-    Polygon,
-    interior_points,
-    lattice_length,
-    normalized_area,
-)
+from tropgw.gw import ONE, ZERO, GWElement, diag, gw_from_pair, hyperbolic
+from tropgw.lattice import Point, Polygon, lattice_length
 from tropgw.paths import (
     NEGATIVE,
     POSITIVE,
@@ -114,7 +111,80 @@ def _ch(d, g, alpha, beta) -> GWElement:
     return total
 
 
-# -- dual subdivisions ----------------------------------------------------
+# -- dual subdivisions and simple curves -----------------------------------
+
+
+def normalized_area(a: Point, b: Point, c: Point) -> int:
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if det == 0:
+        raise ValueError(f"collinear triangle {a}, {b}, {c}")
+    return abs(det)
+
+
+def triangle_boundary_count(a: Point, b: Point, c: Point) -> int:
+    return lattice_length(a, b) + lattice_length(b, c) + lattice_length(c, a)
+
+
+def interior_points(a: Point, b: Point, c: Point) -> int:
+    """Lattice points strictly inside the triangle, via Pick's identity."""
+    area = normalized_area(a, b, c)
+    return (area - triangle_boundary_count(a, b, c) + 2) // 2
+
+
+@dataclass(frozen=True)
+class DualSubdivision:
+    """Triangles and parallelograms tiling a polygon.
+
+    A parallelogram is stored by three corners (a, b, c) with the fourth
+    implied as a + c - b.
+    """
+
+    triangles: tuple[tuple[Point, Point, Point], ...]
+    parallelograms: tuple[tuple[Point, Point, Point], ...] = ()
+
+    def edge_lengths(self) -> list[int]:
+        out = []
+        for a, b, c in self.triangles:
+            out += [lattice_length(a, b), lattice_length(b, c), lattice_length(c, a)]
+        for a, b, c in self.parallelograms:
+            out += [lattice_length(a, b), lattice_length(b, c)] * 2
+        return out
+
+
+@dataclass(frozen=True)
+class SimpleCurve:
+    """A simple tropical curve, recorded through its dual subdivision and
+    the weights of its unbounded ends.
+
+    Its quadratic-form multiplicity interpolates the complex count (its
+    rank) and the signed real count (its signature, when all edge weights
+    are odd): (m-1)/2 * H + <(-1)^i * w_1 ... w_k> for odd m and m/2 * H
+    for even m, with m the product of the triangle areas and i the total
+    number of interior lattice points of the triangles.
+    """
+
+    subdivision: DualSubdivision
+    end_weights: tuple[int, ...]
+
+
+def complex_mult(curve: SimpleCurve) -> int:
+    return prod(normalized_area(*t) for t in curve.subdivision.triangles)
+
+
+def real_mult(curve: SimpleCurve) -> int:
+    if any(length % 2 == 0 for length in curve.subdivision.edge_lengths()):
+        return 0
+    i = sum(interior_points(*t) for t in curve.subdivision.triangles)
+    return -1 if i % 2 else 1
+
+
+def arith_mult(curve: SimpleCurve) -> GWElement:
+    m = complex_mult(curve)
+    if m % 2 == 0:
+        return hyperbolic(m // 2)
+    i = sum(interior_points(*t) for t in curve.subdivision.triangles)
+    sign = -1 if i % 2 else 1
+    return hyperbolic((m - 1) // 2) + diag(sign * prod(curve.end_weights))
 
 
 def piece_area2(sub: DualSubdivision) -> int:

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -31,6 +32,34 @@ def test_seq_binom_examples():
     assert seq_binom((1, 1), (1, 1)) == 1
     assert seq_binom((1,), (2,)) == 0
     assert seq_binom((3, 2), (1,)) == 3
+
+
+def partitions_by_brute_force(total: int) -> set:
+    """The count sequences of the partitions of ``total``, read off every
+    composition (each set of cut points of 1..total)."""
+    if total == 0:
+        return {()}
+    found = set()
+    for r in range(total):
+        for cuts in combinations(range(1, total), r):
+            bounds = (0, *cuts, total)
+            parts = [b - a for a, b in zip(bounds, bounds[1:])]
+            found.add(tuple(parts.count(i) for i in range(1, max(parts) + 1)))
+    return found
+
+
+def test_weighted_partitions_match_brute_force():
+    for total in range(13):
+        every = partitions_by_brute_force(total)
+        assert sorted(weighted_partitions(total)) == sorted(every)
+        for fewest in range(total + 2):
+            for most in (None, *range(-1, total + 2)):
+                got = list(weighted_partitions(total, fewest, most))
+                top = total if most is None else most
+                expected = {seq for seq in every if fewest <= sum(seq) <= top}
+                assert len(set(got)) == len(got), (total, fewest, most)
+                assert set(got) == expected, (total, fewest, most)
+                assert all(seq[-1] for seq in got if seq)  # trimmed
 
 
 def test_trim():

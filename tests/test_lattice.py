@@ -1,17 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gw_reference import boundary_end_weights, piece_area2
-from tropgw.lattice import (
+from gw_reference import (
     DualSubdivision,
-    Polygon,
-    delta_polygon,
-    hirzebruch_polygon,
+    boundary_end_weights,
     interior_points,
-    lattice_length,
     normalized_area,
+    piece_area2,
     triangle_boundary_count,
 )
+from tropgw.lattice import Polygon, delta_polygon, hirzebruch_polygon, lattice_length
 
 coord = st.integers(min_value=-20, max_value=20)
 point = st.tuples(coord, coord)

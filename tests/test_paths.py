@@ -1,10 +1,12 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
 import gw_reference as ref
 from tropgw.ch import ch_count
-from tropgw.curves import SimpleCurve, VertexStar, arith_mult, vertex_mult
+from tropgw.curves import VertexStar, vertex_mult
 from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render, square_free
 from tropgw.lattice import (
     Polygon,
@@ -174,6 +176,21 @@ def test_path_mult_sides_match_gw_reference():
     assert nonsquare > 0
 
 
+def test_count_frees_its_memos_when_it_returns():
+    # memos in a reference cycle would stay until the next full collection
+    gc.disable()
+    tracemalloc.start()
+    try:
+        count_lattice_path(delta_polygon(5), 0)  # fills the interpreter's free lists
+        before = tracemalloc.get_traced_memory()[0]
+        count_lattice_path(delta_polygon(5), 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 64 * 1024, held  # the memos take about 1.4 MiB
+
+
 def test_hirzebruch_polygon_counts():
     square = hirzebruch_polygon(0, 2, 2)
     assert count_lattice_path(square, 1) == ONE
@@ -199,11 +216,11 @@ def test_vertex_factorization_of_path_subdivisions():
             path = (points[0],) + middle + (points[-1],)
             for sub in ref.path_subdivisions(path, polygon):
                 assert ref.piece_area2(sub) == polygon.area2
-                curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
+                curve = ref.SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
                 product = ONE
                 for tri in sub.triangles:
                     product = product * vertex_mult(star_of_triangle(tri))
-                assert gw_equal(arith_mult(curve), product)
+                assert gw_equal(ref.arith_mult(curve), product)
                 seen += 1
             if seen > 200:
                 break
@@ -224,11 +241,11 @@ def test_vertex_factorization_larger_degrees():
             middle = sorted(rng.sample(range(len(interior)), size))
             path = (points[0],) + tuple(interior[i] for i in middle) + (points[-1],)
             for sub in ref.path_subdivisions(path, polygon):
-                curve = SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
+                curve = ref.SimpleCurve(sub, ref.boundary_end_weights(sub, polygon))
                 product = ONE
                 for tri in sub.triangles:
                     product = product * vertex_mult(star_of_triangle(tri))
-                assert gw_equal(arith_mult(curve), product)
+                assert gw_equal(ref.arith_mult(curve), product)
                 seen += 1
                 if seen >= 25:
                     break

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -306,6 +307,21 @@ def test_hyperbolic_decomposition_prefers_one():
     assert n == 2 and rest == diag(1)
     n, rest = hyperbolic_decomposition(diag(3, -3))
     assert n == 1 and rest == ZERO
+
+
+def test_json_round_trip():
+    # the CLI's JSON "classes" list is ``terms`` in order: square-free reps
+    # sorted by (|rep|, sign), which decodes back to the element itself
+    x = hyperbolic(2) + 8 * ONE + diag(-6)
+    classes = [{"rep": r, "mult": m} for r, m in x.terms]
+    assert classes == [
+        {"rep": 1, "mult": 10},
+        {"rep": -1, "mult": 2},
+        {"rep": -6, "mult": 1},
+    ]
+    decoded = json.loads(json.dumps({"classes": classes, "display": render(x)}))
+    assert GWElement.from_dict({c["rep"]: c["mult"] for c in decoded["classes"]}) == x
+    assert decoded["display"] == render(x)
 
 
 def test_gw_from_pair_shapes():

@@ -197,6 +197,8 @@ def cmd_count(args) -> int:
         _reject("--connected is only supported by --method floor")
     if method != "latticepath" and args.tie_break is not None:
         _reject("--tie-break is only supported by --method latticepath")
+    if method != "ch" and args.d is None and (args.k is None or args.a is None):
+        _reject(f"--method {method} needs --d or both --k and --a")
     wl, wr = _weights_flag("--wl", args.wl), _weights_flag("--wr", args.wr)
     if method == "ch":
         if args.d is None:
@@ -211,7 +213,7 @@ def cmd_count(args) -> int:
         if args.d is not None:
             polygon = delta_polygon(args.d)
         else:
-            k, a = args.k or 0, 1 if args.a is None else args.a
+            k, a = args.k, args.a
             wl = wl or (1,) * (a * k + len(wr))
             if any(w != 1 for w in wl + wr):
                 _reject(
@@ -232,8 +234,6 @@ def cmd_count(args) -> int:
         if args.d is not None:
             value = floors.delta_floor_count(args.d, args.g, connected=args.connected)
         else:
-            if args.k is None or args.a is None:
-                _reject("--method floor needs --d or both --k and --a")
             value = floors.floor_count(
                 args.k, args.a, wl, wr, args.g, connected=args.connected
             )
@@ -327,10 +327,13 @@ def cmd_nodepoly(args) -> int:
         )
         return 0
     if args.format == "csv":
-        print("d,g_or_delta,method,rank,signature,display")
-        for d, p, q in fit.values:
-            display = render(gw_from_pair((2 * p + q, q)))
-            print(f"{d},{args.delta},templates,{2 * p + q},{q},{display}")
+        rows = [
+            _result_row(
+                args, "templates", args.delta, gw_from_pair((2 * p + q, q)), d=d
+            )
+            for d, p, q in fit.values
+        ]
+        _emit_result(args, rows)
         return 0
     print(f"node count for {args.delta} nodes: P(d)*H + Q(d)*<1>")
     print(f"  P = {templates.poly_str(fit.hyperbolic_coeffs)}")

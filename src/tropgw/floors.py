@@ -16,6 +16,12 @@ of ((j - i)*w - 1), so the budget S = sum(cap_p) - (a + g - 1) splits into
 the shortfall sum(cap_p - c_p) plus the non-short costs.  Both parts are
 non-negative, and for plane curves S is the number of nodes.
 
+``_line_free`` counts the curves without bare horizontal lines: it alone
+sets the caps and S, returns 0 when S or a + g - 1 is negative, runs one
+of the two engines below and multiplies in the end factors.  ``_count``
+adds the lines: a bare horizontal line pairs a left with an equal-weight
+right end and meets one point, placed anywhere among the others.
+
 Counts with right ends (the Hirzebruch rays) run ``_walk``.
 ``_attachments`` attaches the ends floor by floor, once, keeping the flow
 profiles whose shortfall fits S, and the attachments are grouped by
@@ -24,8 +30,7 @@ carrying exactly the flow each gap still lacks.  Every attachment of a
 profile gives each of its diagrams divergence k on every floor, so the
 markings of one edge tuple are the vertex orders summed over the
 profile's attachments (``count_interleavings``, the sum of the table
-{load vector: orderings} that the templates share).  A bare horizontal
-line meets one point, placed anywhere among the others.
+{load vector: orderings} that the templates share).
 
 Counts without right ends (every plane curve count, the relative counts
 with free left ends, left-end-only Hirzebruch counts) run one transfer,
@@ -38,9 +43,11 @@ only add its bookkeeping.  Where states do merge, the gain is large:
 ``severi_count(8, 8)`` took 74 s one diagram at a time and takes 0.1 s by
 the transfer (Python 3.11, 2 CPUs).
 
-Connected counts, which neither walk can see, follow from these by the
-exponential formula (``_connected``): a curve splits into its component
-through the first point and a curve through the other points.
+Connected counts, which neither engine can see, follow from the
+line-free counts by the exponential formula (``_connected``): a connected
+curve with a floor has no line component, and a line-free curve splits
+into its component through the first point, which has a floor, and a
+line-free curve through the other points.
 
 The curve counted by a marked diagram has one trivalent vertex per
 floor/edge incidence, and the dual triangle of that vertex has area equal
@@ -191,19 +198,16 @@ def _edge_tuples(a: int, n_edges: int, profile):
     yield from leave(1, c[1], (c[1], a), sum(c) - n_edges, n_edges)
 
 
-def _walk(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
+def _walk(
+    k: int, a: int, w_left, w_right, n_edges: int, caps, budget: int
+) -> tuple[int, int]:
     """(rank, signature) of sum nu(D) * mult(D) over every diagram with
-    ends ``w_left`` and ``w_right`` and a + g - 1 edges, no lines.
+    ends ``w_left`` and ``w_right`` and ``n_edges`` edges, no lines.
 
     The end attachments are walked once within the budget S and grouped
     by flow profile; every diagram of a profile has the profile's
     attachments, and nu(D) sums their vertex orders.
     """
-    n_edges = a + g - 1
-    caps = [min(sum(w_left) - p * k, (a - p) * k + sum(w_right)) for p in range(a)]
-    budget = sum(caps[1:]) - n_edges
-    if n_edges < 0 or budget < 0:
-        return 0, 0
     attachments = defaultdict(list)  # flow profile -> end classes per attachment
     for profile, lefts, rights in _attachments(k, a, w_left, w_right, caps, budget):
         ends = []
@@ -223,10 +227,6 @@ def _walk(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
                 s *= es * es
             rank += r
             signature += s
-    for w in w_left + w_right:
-        er, es = edge_mult(w)
-        rank *= er
-        signature *= es
     return rank, signature
 
 
@@ -256,9 +256,9 @@ def _takes(items, need: int, ordered: bool):
     return found
 
 
-def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
+def _sweep(k: int, a: int, w_left, n_edges: int, budget: int) -> tuple[int, int]:
     """(rank, signature) of sum nu(D) * mult(D) over every diagram with
-    left ends ``w_left``, no right ends and a + g - 1 edges.
+    left ends ``w_left``, no right ends and ``n_edges`` edges.
 
     One transfer runs through gap 0, floor 1, gap 1, ..., floor a, and
     counts the orders of the markings of every diagram at once.  A state
@@ -279,16 +279,12 @@ def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
     and their classes (w, n) are read off once per (out-flow, bounds).  With
     cap_q = (a - q) * k the most flow gap q carries, the edges started
     at floors 1..v are at least sum(cap_q, q <= v) - S, where S is the
-    budget of the module docstring, and at most a + g - 1; at floor a - 1
-    the two bounds meet.  After floor v the edges not yet ended and the
-    left ends not yet on a floor weigh (a - v) * k, so the gap before
+    budget of the module docstring, and at most ``n_edges``; at floor
+    a - 1 the two bounds meet.  After floor v the edges not yet ended and
+    the left ends not yet on a floor weigh (a - v) * k, so the gap before
     floor a, which must hand floor a at least k, places everything, and
     floor a ends every state with divergence k and no edge to start.
     """
-    n_edges = a + g - 1
-    budget = k * a * (a - 1) // 2 - n_edges
-    if n_edges < 0 or budget < 0:
-        return 0, 0
     n_left = Counter(w_left)
     weights = sorted(n_left)
     starts = {}  # (out-flow, fewest, most) -> [(classes, #edges, rank, signature)]
@@ -367,9 +363,31 @@ def _sweep(k: int, a: int, w_left, g: int) -> tuple[int, int]:
     # floor a takes the weight k left, so every state ends here
     rank = sum(r for r, _ in states.values())
     signature = sum(s for _, s in states.values())
-    for w in w_left:
-        rank *= w
-        signature *= w % 2
+    return rank, signature
+
+
+def _line_free(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
+    """(rank, signature) of the count of curves of genus g without bare
+    horizontal lines: sum nu(D) * mult(D) over every diagram with a + g - 1
+    edges, times the end factors.
+
+    The caps and the budget S of the module docstring are set here, for
+    both engines: ``_walk`` when there are right ends, ``_sweep`` when
+    there are none.
+    """
+    n_edges = a + g - 1
+    caps = [min(sum(w_left) - p * k, (a - p) * k + sum(w_right)) for p in range(a)]
+    budget = sum(caps[1:]) - n_edges
+    if n_edges < 0 or budget < 0:
+        return 0, 0
+    if w_right:
+        rank, signature = _walk(k, a, w_left, w_right, n_edges, caps, budget)
+    else:
+        rank, signature = _sweep(k, a, w_left, n_edges, budget)
+    for w in w_left + w_right:
+        er, es = edge_mult(w)
+        rank *= er
+        signature *= es
     return rank, signature
 
 
@@ -390,16 +408,15 @@ def _line_orders(n_points: int, lines) -> int:
 
 def _count(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
     """(rank, signature) of the count of every curve, disconnected ones
-    and bare horizontal lines included."""
-    if not w_right:
-        return _sweep(k, a, w_left, g)
+    and bare horizontal lines included: per set of lines, the line-free
+    count of the other ends, with each line given one of the points."""
     n_left, n_right = Counter(w_left), Counter(w_right)
     n_points = 2 * a + g - 1 + len(w_left) + len(w_right)
     rank = signature = 0
     for lines, _ in _splits((n_left & n_right).elements()):
         wl = tuple((n_left - Counter(lines)).elements())
         wr = tuple((n_right - Counter(lines)).elements())
-        r, s = _walk(k, a, wl, wr, g + len(lines))
+        r, s = _line_free(k, a, wl, wr, g + len(lines))
         if r:
             ways = _line_orders(n_points, lines)
             rank += ways * r
@@ -409,31 +426,29 @@ def _count(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
 
 def _connected(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
     """(rank, signature) of the count of connected curves, by the
-    exponential formula.
+    exponential formula over line-free curves.
 
-    A curve of the configuration C (a floors, the end lists, genus g)
-    passes through n = 2a + g - 1 + #ends points.  Its component through
-    the first point is a connected curve of a sub-configuration C_1 (a_1
-    floors, a sub-multiset of each end list, genus g_1 >= 0; a horizontal
-    line when a_1 = 0) through n_1 of the points, and the rest is any curve
-    of C - C_1, of genus g - g_1 + 1, through the other n - n_1: C(n - 1,
-    n_1 - 1) choices of points.  Ends of one weight carry no labels.  So
-    N_conn(C) is N(C) less the splits with C_1 != C.  Both counts are kept
-    per configuration for this call only.
+    A connected curve with a floor has no bare horizontal line, and every
+    component of a line-free curve has a floor.  A line-free curve of the
+    configuration C (a floors, the end lists, genus g) passes through
+    n = 2a + g - 1 + #ends points.  Its component through the first point
+    is a connected curve of a sub-configuration C_1 (1 <= a_1 <= a floors,
+    a sub-multiset of each end list, genus g_1 >= 0) through n_1 of the
+    points, and the rest is a line-free curve of C - C_1, of genus
+    g - g_1 + 1, through the other n - n_1: C(n - 1, n_1 - 1) choices of
+    points.  With a_1 = a the rest has no floor, so it is empty and C_1 is
+    C.  So N_conn(C) is N'(C), the line-free count, less the splits with
+    a_1 < a.  Ends of one weight carry no labels.  Both counts are kept per
+    configuration for this call only.
     """
     if g < 0:  # a connected curve has genus >= 0
         return 0, 0
     counts, connected = {}, {}
 
     def count(a, wl, wr, g):
-        if a == 0:  # horizontal lines only, one point each
-            if wl != wr or g != 1 - len(wl):
-                return 0, 0
-            ways = _line_orders(len(wl), wl)
-            return ways, ways
         key = (a, wl, wr, g)
         if key not in counts:
-            counts[key] = _count(k, a, wl, wr, g)
+            counts[key] = _line_free(k, a, wl, wr, g)
         return counts[key]
 
     def conn(a, wl, wr, g):
@@ -441,18 +456,16 @@ def _connected(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
         if key in connected:
             return connected[key]
         rank, signature = count(a, wl, wr, g)
-        if not rank:  # no curve at all, so no connected one
+        if not rank:  # no line-free curve at all, so no connected one
             return 0, 0
         n_points = 2 * a + g - 1 + len(wl) + len(wr)
         for wl1, wl2 in _splits(wl):
             for wr1, wr2 in _splits(wr):
-                for a1 in range(a + 1):
+                for a1 in range(1, a):
                     least = 2 * a1 - 1 + len(wl1) + len(wr1)  # n_1 at genus 0
-                    if sum(wl1) != a1 * k + sum(wr1) or least < 1:
+                    if sum(wl1) != a1 * k + sum(wr1):
                         continue
                     for g1 in range(n_points - least + 1):
-                        if (a1, wl1, wr1, g1) == key:
-                            continue
                         r2, s2 = count(a - a1, wl2, wr2, g - g1 + 1)
                         if not r2:
                             continue
@@ -481,12 +494,14 @@ def floor_count(
     path and recursion counts.  A curve may have components that are bare
     horizontal lines: each pairs a left with an equal-weight right end,
     meets one point, and multiplies the count by <w^2> = <1>.
-    ``connected=True`` restricts to connected single-component curves.
+    ``connected=True`` restricts to connected single-component curves,
+    which have a floor and so no line.
 
-    Without right ends every diagram is summed at once by the gap-by-gap
-    transfer ``_sweep``; with right ends ``_walk`` counts the markings of
-    each diagram, one flow profile at a time.  Connected counts follow
-    from these by the exponential formula.
+    Each set of lines leaves a line-free count of the other ends
+    (``_line_free``).  Without right ends it sums every diagram at once by
+    the gap-by-gap transfer ``_sweep``; with right ends ``_walk`` counts
+    the markings of each diagram, one flow profile at a time.  Connected
+    counts follow from the line-free counts by the exponential formula.
     """
     w_left, w_right = tuple(w_left), tuple(w_right)
     if a < 1:

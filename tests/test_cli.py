@@ -201,6 +201,14 @@ def assert_argument_error(capsys, argv, message):
          "give either --d or the --k/--a Hirzebruch data"),
         ("--method ch --g 0", "--method ch needs --d"),
         ("--method floor --k 1 --g 0", "--method floor needs --d or both --k and --a"),
+        ("--method floor --a 2 --g 0", "--method floor needs --d or both --k and --a"),
+        # no Hirzebruch data is filled in for the lattice path method either
+        ("--method latticepath --k 2 --g 0",
+         "--method latticepath needs --d or both --k and --a"),
+        ("--method latticepath --a 2 --g 0",
+         "--method latticepath needs --d or both --k and --a"),
+        ("--method latticepath --g 0",
+         "--method latticepath needs --d or both --k and --a"),
         ("--method latticepath --k 1 --a 2 --wl 3,1 --g 0",
          "the lattice path method only supports weight-1 ends; "
          "use --method floor for higher weights"),
@@ -306,6 +314,18 @@ def test_nodepoly(capsys):
     assert "Q = d^2 - 1" in out
     code, out = run_cli(capsys, "nodepoly", "--delta", "0")
     assert "P = 0" in out and "Q = 1" in out
+
+
+def test_nodepoly_csv_rows_are_template_counts(capsys):
+    code, out = run_cli(capsys, "nodepoly", "--delta", "2", "--format", "csv")
+    assert code == 0
+    header, *rows = out.strip().split("\n")
+    assert header == "d,g_or_delta,method,rank,signature,display"
+    # the fit samples degrees 1 .. 3*delta + 1 + holdout
+    assert len(rows) == 9
+    for d, row in enumerate(rows, 1):
+        value = templates.severi_by_templates(d, 2)
+        assert row == f"{d},2,templates,{value.rank},{value.signature},{render(value)}"
 
 
 def test_nodepoly_budget(capsys):

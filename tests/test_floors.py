@@ -16,6 +16,7 @@ from gw_reference import (
     marked_mult,
     real_mult,
 )
+from tropgw import floors as floor_layer
 from tropgw.ch import ch_count, max_genus, weighted_partitions
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.floors import (
@@ -424,10 +425,24 @@ GRID_FLOOR_CASES = [
     for g in range(-1, 3)
 ]
 
+# k < 0: the right ends outweigh the left ones by a * |k|
+NEGATIVE_K_CASES = [
+    (-1, a, wl, wr, g)
+    for a, wl, wr in [
+        (2, (1,), (1, 1, 1)),
+        (3, (1, 1), (1,) * 5),
+        (2, (2, 1), (2, 1, 1, 1)),
+    ]
+    for g in range(-1, 2)
+]
+
+# many splits of both end lists into a component and the rest
+MANY_SPLITS = (2, 3, (3, 2, 2, 1, 1, 1, 1), (2, 3), 0)
+
 
 def test_floor_count_matches_reference_walker_on_a_grid():
     # the reference builds every diagram and walks its markings one at a time
-    for k, a, wl, wr, g in WEIGHTED_FLOOR_CASES + GRID_FLOOR_CASES:
+    for k, a, wl, wr, g in WEIGHTED_FLOOR_CASES + GRID_FLOOR_CASES + NEGATIVE_K_CASES:
         value = floor_count(k, a, wl, wr, g)
         assert pair(value) == pair(ref.floor_count(k, a, wl, wr, g)), (k, a, wl, wr, g)
     with_lines = [c for c in GRID_FLOOR_CASES if set(c[2]) & set(c[3])]
@@ -451,12 +466,28 @@ def test_connected_counts_match_reference_filter():
         (2, 3, (2, 2, 1, 1, 1, 1, 1, 1, 1), (2, 3), -1),
     ]
     cases += [c for c in GRID_FLOOR_CASES if set(c[2]) & set(c[3]) and c[1] < 3]
+    cases += NEGATIVE_K_CASES + [MANY_SPLITS]
     for k, a, wl, wr, g in cases:
         value = floor_count(k, a, wl, wr, g, connected=True)
         expected = ref.floor_count(k, a, wl, wr, g, connected=True)
         assert pair(value) == pair(expected), (k, a, wl, wr, g)
     assert pair(floor_count(1, 3, (3, 2, 1), (2, 1), -1, connected=True)) == (0, 0)
     assert pair(delta_floor_count(4, -1, connected=True)) == (0, 0)
+
+
+def test_connected_count_engine_calls(monkeypatch):
+    # The exponential formula runs over line-free counts, one engine call
+    # per configuration; splitting lines off inside the formula takes 712
+    # calls here.
+    calls = []
+    for name in ("_walk", "_sweep"):
+        def counted(*args, engine=getattr(floor_layer, name)):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(floor_layer, name, counted)
+    floor_count(*MANY_SPLITS, connected=True)
+    assert 0 < len(calls) < 100
 
 
 def test_connected_rational_curves_are_kontsevich_and_welschinger():

@@ -86,20 +86,26 @@ class Polygon:
         return (self.area2 - self.num_boundary_points() + 2) // 2
 
     def contains(self, pt: Point) -> bool:
-        for p, q in self.edges():
-            if (q[0] - p[0]) * (pt[1] - p[1]) - (q[1] - p[1]) * (pt[0] - p[0]) < 0:
-                return False
-        return True
+        return _inside(self.edges(), pt)
 
     def lattice_points(self) -> list[Point]:
+        edges = self.edges()
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
         return [
             (x, y)
             for x in range(min(xs), max(xs) + 1)
             for y in range(min(ys), max(ys) + 1)
-            if self.contains((x, y))
+            if _inside(edges, (x, y))
         ]
+
+
+def _inside(edges: list[tuple[Point, Point]], pt: Point) -> bool:
+    """Whether pt lies on the inner side of every edge of a ccw polygon."""
+    for p, q in edges:
+        if (q[0] - p[0]) * (pt[1] - p[1]) - (q[1] - p[1]) * (pt[0] - p[0]) < 0:
+            return False
+    return True
 
 
 def delta_polygon(d: int) -> Polygon:

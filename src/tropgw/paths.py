@@ -9,14 +9,16 @@ the cut triangle, while the parallelogram move reflects the corner across
 and costs nothing.  A path that has flattened onto the side's boundary
 chain contributes the unit; a stuck path contributes zero.
 
-Everything runs on index tables built once per (polygon, tie-break): the
-lattice points sorted by the path order, so that a path is an increasing
-tuple of point indices, and for each side a table ``move[a][b][c]``
-(a < b < c) that is ``None`` unless the corner turns toward the side, and
-otherwise holds the cut triangle's weight and the index of the reflected
-point a + c - b (-1 when that is not a lattice point of the polygon).  An
-increasing path is determined by its set of points, so each side memoizes
-on the int bitmask of that set: a corner cut clears one bit, a
+Everything runs on index tables made once per count: the lattice points
+sorted by the path order, so that a path is an increasing tuple of point
+indices, and a corner table keyed by (a, b, c), a < b < c, shared by both
+sides.  An entry is computed on its first read: ``None`` for a collinear
+corner, otherwise the side the corner turns toward, the cut triangle's
+weight and the index of the reflected point a + c - b (-1 when that is not
+a lattice point of the polygon).  A count reads only a few of the corners
+(249 of the 1,330 of Δ5 at genus 3), so none of the others is computed.
+An increasing path is determined by its set of points, so each side
+memoizes on the int bitmask of that set: a corner cut clears one bit, a
 parallelogram move clears one and sets another.
 
 A path point on a side's boundary chain is never cut or moved on that
@@ -35,7 +37,6 @@ given by the parity of its interior lattice points.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -59,57 +60,78 @@ def lambda_key(pt: Point, tie_break: str = "ydesc") -> tuple[int, int]:
     raise ValueError(f"unknown tie break {tie_break!r}")
 
 
+class _Corners(dict):
+    """The corners of one count, each computed on its first read.
+
+    ``corners[a, b, c]`` (a < b < c) is None when the three points are
+    collinear, and otherwise (side, weight, r): the side the corner turns
+    toward, the cut triangle's weight and the index r of the reflected
+    point a + c - b (-1 when that is not a lattice point of the polygon).
+    """
+
+    __slots__ = ("points", "index")
+
+    def __init__(self, points: list[Point], index: dict[Point, int]):
+        super().__init__()
+        self.points, self.index = points, index
+
+    def __missing__(self, corner: tuple[int, int, int]):
+        a, b, c = corner
+        (ax, ay), (bx, by), (cx, cy) = self.points[a], self.points[b], self.points[c]
+        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        if cross == 0:
+            entry = None
+        else:
+            # right turns flatten onto the ccw chain, left turns onto the cw chain
+            side = NEGATIVE if cross > 0 else POSITIVE
+            area = abs(cross)
+            if area % 2 == 0:
+                weight = (area, 0)
+            else:
+                # Pick: (area - boundary + 2) / 2 lattice points lie inside
+                boundary = (gcd(bx - ax, by - ay) + gcd(cx - bx, cy - by)
+                            + gcd(cx - ax, cy - ay))
+                weight = (area, -1 if (area - boundary + 2) // 2 % 2 else 1)
+            entry = side, weight, self.index.get((ax + cx - bx, ay + cy - by), -1)
+        self[corner] = entry
+        return entry
+
+
 class _Tables(NamedTuple):
     points: list[Point]  # the lattice points in path order
     index: dict[Point, int]
-    move: dict[str, list]  # side -> move[a][b][c]
+    corners: _Corners  # (a, b, c) -> None or (side, weight, reflected index)
     chain: dict[str, int]  # side -> bitmask of its boundary chain
 
 
 def _tables(polygon: Polygon, tie_break: str) -> _Tables:
     points = sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
     index = {p: i for i, p in enumerate(points)}
-    n = len(points)
-    move = {side: [[[None] * n for _ in range(n)] for _ in range(n)]
-            for side in (POSITIVE, NEGATIVE)}
-    for a, b, c in combinations(range(n), 3):
-        (ax, ay), (bx, by), (cx, cy) = points[a], points[b], points[c]
-        cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-        if cross == 0:
-            continue
-        # right turns flatten onto the ccw chain, left turns onto the cw chain
-        side = NEGATIVE if cross > 0 else POSITIVE
-        area = abs(cross)
-        if area % 2 == 0:
-            weight = (area, 0)
-        else:
-            # Pick: (area - boundary + 2) / 2 lattice points lie inside
-            boundary = gcd(bx - ax, by - ay) + gcd(cx - bx, cy - by) + gcd(cx - ax, cy - ay)
-            weight = (area, -1 if (area - boundary + 2) // 2 % 2 else 1)
-        move[side][a][b][c] = (weight, index.get((ax + cx - bx, ay + cy - by), -1))
     cycle = polygon.boundary_lattice_points()
     i, j, m = cycle.index(points[0]), cycle.index(points[-1]), len(cycle)
     ccw = [cycle[(i + t) % m] for t in range((j - i) % m + 1)]
     cw = [cycle[(i - t) % m] for t in range((i - j) % m + 1)]
     chain = {side: sum(1 << index[p] for p in pts)
              for side, pts in ((POSITIVE, ccw), (NEGATIVE, cw))}
-    return _Tables(points, index, move, chain)
+    return _Tables(points, index, _Corners(points, index), chain)
 
 
-def _first_turn(path: tuple[int, ...], move: list, start: int = 1):
-    """(j, move entry) of the first corner path[j], j >= start, turning
+def _first_turn(path: tuple[int, ...], corners: _Corners, side: str, start: int = 1):
+    """(j, corner entry) of the first corner path[j], j >= start, turning
     toward the side, or None if the path has no such corner."""
     for j in range(start, len(path) - 1):
-        entry = move[path[j - 1]][path[j]][path[j + 1]]
-        if entry is not None:
+        entry = corners[path[j - 1], path[j], path[j + 1]]
+        if entry is not None and entry[0] == side:
             return j, entry
     return None
 
 
-def _side_value(move: list, chain: int, memo: dict, path: tuple[int, ...], mask: int,
-                start: int = 1) -> tuple[int, int]:
+def _side_value(corners: _Corners, side: str, chain: int, memo: dict,
+                path: tuple[int, ...], mask: int, start: int = 1) -> tuple[int, int]:
     """The completion multiplicity of one side for an increasing path whose
-    ends lie on the side's boundary chain, memoized on the mask."""
+    ends lie on the side's boundary chain, memoized on the mask.  A child
+    path is looked up in the memo before it is built; a memo value is a
+    pair, never falsy, so ``memo.get(m) or ...`` walks only on a miss."""
     cached = memo.get(mask)
     if cached is not None:
         return cached
@@ -117,29 +139,34 @@ def _side_value(move: list, chain: int, memo: dict, path: tuple[int, ...], mask:
     if inner:
         b = (inner & -inner).bit_length() - 1
         j, low = path.index(b), (2 << b) - 1
-        rank, signature = _side_value(move, chain, memo, path[:j + 1], mask & low)
+        left = mask & low
+        rank, signature = memo.get(left) or _side_value(
+            corners, side, chain, memo, path[:j + 1], left
+        )
         if rank:
-            r_rank, r_signature = _side_value(
-                move, chain, memo, path[j:], mask & ~low | 1 << b
+            right = mask & ~low | 1 << b
+            r_rank, r_signature = memo.get(right) or _side_value(
+                corners, side, chain, memo, path[j:], right
             )
             rank, signature = rank * r_rank, signature * r_signature
     else:
-        turn = _first_turn(path, move, start)
+        turn = _first_turn(path, corners, side, start)
         if turn is None:
             flat = chain & (2 << path[-1]) - (1 << path[0])
             rank, signature = (1, 1) if mask == flat else (0, 0)
         else:
             # corners left of j - 1 are untouched by the move at j
-            j, ((tri_rank, tri_signature), r) = turn
+            j, (_, (tri_rank, tri_signature), r) = turn
             b, resume = path[j], j - 1 or 1
-            rank, signature = _side_value(
-                move, chain, memo, path[:j] + path[j + 1:], mask ^ 1 << b, resume
+            cut = mask ^ 1 << b
+            rank, signature = memo.get(cut) or _side_value(
+                corners, side, chain, memo, path[:j] + path[j + 1:], cut, resume
             )
             rank, signature = tri_rank * rank, tri_signature * signature
             if r >= 0:
-                r_rank, r_signature = _side_value(
-                    move, chain, memo, path[:j] + (r,) + path[j + 1:],
-                    mask ^ 1 << b | 1 << r, resume,
+                moved = cut | 1 << r
+                r_rank, r_signature = memo.get(moved) or _side_value(
+                    corners, side, chain, memo, path[:j] + (r,) + path[j + 1:], moved, resume
                 )
                 rank, signature = rank + r_rank, signature + r_signature
     # zeros, the most common value, share one tuple
@@ -158,7 +185,7 @@ def _side_walker(tables: _Tables, side: str):
     piece is flat when its mask is the chain between its ends.  The
     function holds no reference to itself, so its memo goes with it.
     """
-    return partial(_side_value, tables.move[side], tables.chain[side], {})
+    return partial(_side_value, tables.corners, side, tables.chain[side], {})
 
 
 def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GWElement:

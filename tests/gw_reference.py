@@ -310,9 +310,9 @@ def count_lattice_path(polygon, g, tie_break="ydesc") -> GWElement:
 
 # -- one path on the package's tables ----------------------------------------
 
-# walker_path_mult and path_subdivisions evaluate one path per call, and
-# building the tables costs more than the walk, so they share the tables of
-# recent (polygon, tie-break) pairs.
+# walker_path_mult and path_subdivisions evaluate one path per call, so they
+# share the tables of recent (polygon, tie-break) pairs, whose corner tables
+# keep what earlier calls computed.
 _shared_tables = lru_cache(maxsize=8)(_tables)
 
 
@@ -345,12 +345,12 @@ def walker_path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc"
 
 def _side_reductions(path: tuple[int, ...], tables, side: str):
     """All successful reductions of one side: (triangles, parallelograms)."""
-    turn = _first_turn(path, tables.move[side])
+    turn = _first_turn(path, tables.corners, side)
     if turn is None:
         if sum(1 << i for i in path) == tables.chain[side]:
             yield (), ()
         return
-    j, (_, r) = turn
+    j, (_, _, r) = turn
     corner = tuple(tables.points[i] for i in path[j - 1:j + 2])
     for tris, pars in _side_reductions(path[:j] + path[j + 1:], tables, side):
         yield tris + (corner,), pars

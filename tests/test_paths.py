@@ -1,10 +1,12 @@
 import gc
 import itertools
+import math
 import tracemalloc
 
 import pytest
 
 import gw_reference as ref
+from tropgw import paths
 from tropgw.ch import ch_count
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.gw import ONE, diag, gw_equal, hyperbolic, render, square_free
@@ -137,12 +139,34 @@ def test_chain_points_never_turn_toward_their_side():
         for tie_break in ("ydesc", "yasc"):
             tables = _tables(polygon, tie_break)
             n = len(tables.points)
+            for a, b, c in itertools.combinations(range(n), 3):
+                entry = tables.corners[a, b, c]
+                if entry is None:
+                    continue
+                side = entry[0]
+                assert side in (POSITIVE, NEGATIVE)
+                assert not tables.chain[side] >> b & 1, (polygon, side, a, b, c)
             for side in (POSITIVE, NEGATIVE):
-                chain = [b for b in range(n) if tables.chain[side] >> b & 1]
-                assert len(chain) >= 2
-                for b in chain:
-                    for a, c in itertools.product(range(b), range(b + 1, n)):
-                        assert tables.move[side][a][b][c] is None, (polygon, side, a, b, c)
+                assert bin(tables.chain[side]).count("1") >= 2
+            assert len(tables.corners) == math.comb(n, 3)
+
+
+def test_count_computes_only_the_corners_it_reads(monkeypatch):
+    # the corner table is filled on demand, once per corner a count reads
+    built = []
+
+    def recording_tables(polygon, tie_break):
+        tables = _tables(polygon, tie_break)
+        built.append(tables)
+        return tables
+
+    monkeypatch.setattr(paths, "_tables", recording_tables)
+    polygon = delta_polygon(5)
+    for tie_break in ("ydesc", "yasc"):
+        count_lattice_path(polygon, 3, tie_break)
+    computed = [len(tables.corners) for tables in built]
+    assert computed == [249, 252]
+    assert max(computed) < math.comb(len(built[0].points), 3)  # 1,330
 
 
 def test_delta6_counts_match_recursion():

@@ -35,9 +35,10 @@ profile's attachments (``count_interleavings``, the sum of the table
 Counts without right ends (every plane curve count, the relative counts
 with free left ends, left-end-only Hirzebruch counts) run one transfer,
 ``_sweep``, through gap 0, floor 1, gap 1, ..., floor a, which sums
-nu(D) * mult(D) over all diagrams at once.  Its state holds only counts of
-ends and edges, not yet placed or not yet given a floor, so diagrams that
-agree on them share one entry.  Heavy, distinct end weights give every
+nu(D) * mult(D) over all diagrams at once.  The left ends are the edges
+out of a floor 0, as in the templates, and the state holds only counts of
+edges not yet placed or not yet given a target, so diagrams that agree on
+them share one entry.  Heavy, distinct end weights give every
 state its own entry, so on the rays a transfer would share nothing and
 only add its bookkeeping.  Where states do merge, the gain is large:
 ``severi_count(8, 8)`` took 74 s one diagram at a time and takes 0.1 s by
@@ -261,32 +262,31 @@ def _sweep(k: int, a: int, w_left, n_edges: int, budget: int) -> tuple[int, int]
     left ends ``w_left``, no right ends and ``n_edges`` edges.
 
     One transfer runs through gap 0, floor 1, gap 1, ..., floor a, and
-    counts the orders of the markings of every diagram at once.  A state
-    is (unplaced, placed, strands, waiting, started): per left weight, the
-    left ends whose black vertex is not yet placed and the placed ones
-    whose floor is not yet chosen; per weight, the placed black vertices
-    of edges whose target is not yet chosen; the classes (w, n) of edges
-    started at one floor whose black vertex is not yet placed (edges from
-    different floors are different classes, so each class is kept apart,
-    though not its floor); and the number of edges started.
+    counts the orders of the markings of every diagram at once.  The left
+    ends are the edges out of a floor 0, as in Fomin-Mikhalkin.  A state
+    is (waiting, strands, started): the classes (w, n) of edges started at
+    one floor whose black vertex is not yet placed, the left ends being
+    floor 0's class of each weight (edges from different floors are
+    different classes, so each class is kept apart, though not its
+    floor); per weight, the placed black vertices of edges whose target is
+    not yet chosen; and the number of edges started at floors 1..a.
 
-    A gap places items, in load! / prod(n!) orders.  A floor picks the
-    left ends it takes and the edges that end on it among the placed ones:
-    picking C(placed, m) of them, gap by gap, counts every labelling of
-    the placed items once (Vandermonde).  It then starts edges whose
-    weights partition its out-flow, at (w^2, w mod 2) each: the partitions
-    come from ``ch.weighted_partitions`` with the part-count bounds below,
-    and their classes (w, n) are read off once per (out-flow, bounds).  With
-    cap_q = (a - q) * k the most flow gap q carries, the edges started
-    at floors 1..v are at least sum(cap_q, q <= v) - S, where S is the
-    budget of the module docstring, and at most ``n_edges``; at floor
-    a - 1 the two bounds meet.  After floor v the edges not yet ended and
-    the left ends not yet on a floor weigh (a - v) * k, so the gap before
+    A gap places items, in load! / prod(n!) orders, and placed items of
+    one weight join one strand count.  A floor picks the edges that end on
+    it among the placed ones: picking C(placed, m) of them, gap by gap,
+    counts every labelling of the placed items once (Vandermonde), and
+    which of them are left ends changes nothing after.  It then starts
+    edges whose weights partition its out-flow, at (w^2, w mod 2) each:
+    the partitions come from ``ch.weighted_partitions`` with the
+    part-count bounds below, and their classes (w, n) are read off once
+    per (out-flow, bounds).  With cap_q = (a - q) * k the most flow gap q
+    carries, the edges started at floors 1..v are at least
+    sum(cap_q, q <= v) - S, where S is the budget of the module docstring,
+    and at most ``n_edges``; at floor a - 1 the two bounds meet.  After
+    floor v the edges not yet ended weigh (a - v) * k, so the gap before
     floor a, which must hand floor a at least k, places everything, and
     floor a ends every state with divergence k and no edge to start.
     """
-    n_left = Counter(w_left)
-    weights = sorted(n_left)
     starts = {}  # (out-flow, fewest, most) -> [(classes, #edges, rank, signature)]
 
     def start_edges(out: int, fewest: int, most: int):
@@ -300,34 +300,20 @@ def _sweep(k: int, a: int, w_left, n_edges: int, budget: int) -> tuple[int, int]
                 starts[key].append((classes, sum(gamma), rank, signature))
         return starts[key]
 
-    n_weights = len(weights)
-    start = (tuple(n_left[w] for w in weights), (0,) * n_weights, (), (), 0)
-    states = {start: (1, 1)}
+    states = {(tuple(sorted(Counter(w_left).items())), (), 0): (1, 1)}
     least = -budget  # sum(cap_q, q <= v) - S: the fewest edges floors 1..v start
     for v in range(a):
         if v:  # floor v
             least += (a - v) * k
             after = {}
-            for (unplaced, placed, strands, waiting, started), (r, s) in states.items():
+            for (waiting, strands, started), (r, s) in states.items():
                 fewest, most = max(least - started, 0), n_edges - started
-                items = list(zip(weights, placed)) + list(strands)
-                for xs, inflow, ways in _takes(items, k + fewest, False):
-                    left = tuple(n - x for n, x in zip(placed, xs))
-                    kept = tuple(
-                        (w, n - x)
-                        for (w, n), x in zip(strands, xs[n_weights:])
-                        if n > x
-                    )
+                for xs, inflow, ways in _takes(strands, k + fewest, False):
+                    kept = tuple((w, n - x) for (w, n), x in zip(strands, xs) if n > x)
                     for classes, parts, rank, signature in start_edges(
                         inflow - k, fewest, most
                     ):
-                        key = (
-                            unplaced,
-                            left,
-                            kept,
-                            tuple(sorted(waiting + classes)),
-                            started + parts,
-                        )
+                        key = (tuple(sorted(waiting + classes)), kept, started + parts)
                         old_r, old_s = after.get(key, (0, 0))
                         after[key] = (
                             old_r + r * ways * rank,
@@ -336,27 +322,19 @@ def _sweep(k: int, a: int, w_left, n_edges: int, budget: int) -> tuple[int, int]
             states = after
         # gap v
         after = {}
-        for (unplaced, placed, strands, waiting, started), (r, s) in states.items():
+        for (waiting, strands, started), (r, s) in states.items():
             # floor v + 1 takes k plus one unit per edge it must start
-            held = sum(w * n for w, n in zip(weights, placed))
-            held += sum(w * n for w, n in strands)
+            held = sum(w * n for w, n in strands)
             fewest = max(least + (a - v - 1) * k - started, 0)
-            items = list(zip(weights, unplaced)) + list(waiting)
-            for xs, _, ways in _takes(items, k + fewest - held, True):
+            for xs, _, ways in _takes(waiting, k + fewest - held, True):
                 merged = dict(strands)
                 rest = []
-                for (w, n), x in zip(waiting, xs[n_weights:]):
+                for (w, n), x in zip(waiting, xs):
                     if x:
                         merged[w] = merged.get(w, 0) + x
                     if n > x:
                         rest.append((w, n - x))
-                key = (
-                    tuple(n - x for n, x in zip(unplaced, xs)),
-                    tuple(n + x for n, x in zip(placed, xs)),
-                    tuple(sorted(merged.items())),
-                    tuple(sorted(rest)),
-                    started,
-                )
+                key = (tuple(sorted(rest)), tuple(sorted(merged.items())), started)
                 old_r, old_s = after.get(key, (0, 0))
                 after[key] = (old_r + r * ways, old_s + s * ways)
         states = after
@@ -380,6 +358,9 @@ def _line_free(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
     budget = sum(caps[1:]) - n_edges
     if n_edges < 0 or budget < 0:
         return 0, 0
+    # Right ends keep the walk: as edges into a floor a + 1 of the transfer,
+    # each partition of a floor's heavy out-flow is its own state (the floors
+    # benchmark batch ran 2.3x slower that way, ray 3 5.5x).
     if w_right:
         rank, signature = _walk(k, a, w_left, w_right, n_edges, caps, budget)
     else:

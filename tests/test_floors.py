@@ -385,6 +385,12 @@ WEIGHTED_FLOOR_CASES = [
     (2, 3, (5, 1), (), 0),
     (3, 1, (3,), (), 0),
     (2, 2, (3, 1), (), 0),
+    # four floors, repeated weights, classes <5> and <15>: left ends and
+    # edges of one weight share a floor's pool
+    (4, 3, (5, 3, 3, 1), (), 1),
+    (3, 3, (5, 3, 1), (), 2),
+    (2, 4, (3, 3, 1, 1), (), 1),
+    (2, 4, (3, 2, 2, 1), (), 2),
 ]
 
 
@@ -488,6 +494,27 @@ def test_connected_count_engine_calls(monkeypatch):
         monkeypatch.setattr(floor_layer, name, counted)
     floor_count(*MANY_SPLITS, connected=True)
     assert 0 < len(calls) < 100
+
+
+def test_sweep_takes_calls(monkeypatch):
+    # One _takes call per transfer state and floor or gap.  The left ends
+    # share the edges' pool, so states that differ only in how a floor's
+    # pool splits into left ends and edges are one; with left ends apart
+    # these take 2,515 and 545 calls.
+    calls = []
+
+    def counted(*args, takes=floor_layer._takes):
+        calls.append(args)
+        return takes(*args)
+
+    monkeypatch.setattr(floor_layer, "_takes", counted)
+    for args, expected in [
+        ((1, 7, (1,) * 7, (), 5), 1331),
+        ((2, 4, (3, 2, 2, 1), (), 2), 330),
+    ]:
+        calls.clear()
+        floor_count(*args)
+        assert len(calls) == expected, args
 
 
 def test_connected_rational_curves_are_kontsevich_and_welschinger():

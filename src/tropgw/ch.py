@@ -22,7 +22,15 @@ genus, as (g_lo, ranks, signatures) with entry i at genus g_lo + i.  Its
 range starts at 1 - 2d - |beta| and ends at max_genus(d), outside of which
 nothing is counted, and both zero ends are trimmed.  A term adds its
 child's vectors, shifted by the floor's |gamma| - 1 and scaled by the
-term's pair; every shifted child lies within the parent's range.
+term's pair; every shifted child lies within the parent's range.  Each
+vector is added as one slice, and the signature slice is skipped when the
+term has an even weight, which makes its signature factor 0.
+
+What a term needs besides the child's counts depends on less than the
+memo key, so it is built once per process: the floors of one
+(d, beta, target), with their binomials (``_floor_terms``), and the
+sub-sequences alpha' <= alpha with I(alpha') and binom(alpha, alpha')
+(``_sub_alphas``).  Both are cached pure functions returning tuples.
 
 Sequences are checked once, where they enter: in ``ch_count`` (``trim``
 and ``check_key``) and in the CLI's cache loader (``check_key``).  A canonical
@@ -37,6 +45,7 @@ evaluation and cache merging are safe.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import count, product, zip_longest
 from math import comb, prod
 from operator import mul
@@ -147,7 +156,8 @@ def genus_floor(d: int, beta: Sequence) -> int:
     return 1 - 2 * d - sum(beta)
 
 
-def _floor_terms(d: int, beta: Sequence, target: int) -> list[tuple]:
+@cache
+def _floor_terms(d: int, beta: Sequence, target: int) -> tuple[tuple, ...]:
     """The floors of degree d whose new free ends gamma have I(gamma) =
     target: (|gamma| - 1, beta + gamma, b * I^gamma, b * (I^gamma mod 2))
     with b = binom(beta + gamma, beta); a floor shifts the genus by
@@ -161,7 +171,16 @@ def _floor_terms(d: int, beta: Sequence, target: int) -> list[tuple]:
         terms.append(
             (shift, beta_p, binom_beta * prod_gamma, binom_beta * (prod_gamma % 2))
         )
-    return terms
+    return tuple(terms)
+
+
+@cache
+def _sub_alphas(alpha: Sequence) -> tuple[tuple[int, Sequence, int], ...]:
+    """Every alpha' <= alpha, as (I(alpha'), alpha' trimmed, binom(alpha, alpha'))."""
+    return tuple(
+        (sum(map(mul, alpha_p, count(1))), _strip(alpha_p), prod(map(comb, alpha, alpha_p)))
+        for alpha_p in product(*(range(n + 1) for n in alpha))
+    )
 
 
 def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, Sequence, Sequence]:
@@ -179,24 +198,24 @@ def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, Sequence, Sequenc
 
     def add(child, shift, rank_factor, signature_factor):
         c_lo, c_ranks, c_signatures = child
-        for i, r, s in zip(count(c_lo + shift - g_lo), c_ranks, c_signatures):
-            ranks[i] += rank_factor * r
-            signatures[i] += signature_factor * s
+        lo = c_lo + shift - g_lo
+        hi = lo + len(c_ranks)
+        ranks[lo:hi] = [x + rank_factor * r for x, r in zip(ranks[lo:hi], c_ranks)]
+        if signature_factor:
+            signatures[lo:hi] = [
+                x + signature_factor * s for x, s in zip(signatures[lo:hi], c_signatures)
+            ]
 
     for k, bk in enumerate(beta, start=1):
         if bk > 0:
             add(_ch(d, _seq_add(alpha, k, 1), _seq_add(beta, k, -1)), 0, k, k % 2)
-    terms: dict = {}  # target -> its floor terms, built once per call
-    ib = sum(map(mul, beta, count(1)))
-    for alpha_p in product(*(range(n + 1) for n in alpha)):
-        target = d - 1 - ib - sum(map(mul, alpha_p, count(1)))
-        if target < 0:
+    top = d - 1 - sum(map(mul, beta, count(1)))
+    for ia_p, alpha_p, binom_alpha in _sub_alphas(alpha):
+        if ia_p > top:
             continue
-        if target not in terms:
-            terms[target] = _floor_terms(d, beta, target)
-        binom_alpha = prod(map(comb, alpha, alpha_p))
-        alpha_p = _strip(alpha_p)
-        for shift, beta_p, rank_factor, signature_factor in terms[target]:
+        for shift, beta_p, rank_factor, signature_factor in _floor_terms(
+            d, beta, top - ia_p
+        ):
             add(
                 _ch(d - 1, alpha_p, beta_p), shift,
                 binom_alpha * rank_factor, binom_alpha * signature_factor,

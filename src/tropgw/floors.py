@@ -30,7 +30,11 @@ carrying exactly the flow each gap still lacks.  Every attachment of a
 profile gives each of its diagrams divergence k on every floor, so the
 markings of one edge tuple are the vertex orders summed over the
 profile's attachments (``count_interleavings``, the sum of the table
-{load vector: orderings} that the templates share).
+{load vector: orderings} that the templates share).  The vertex orders
+see only which gaps each class of black vertices may take, not the edge
+weights, so one count builds one table per sorted class list (on the
+seed-1 rays of the floors benchmark, 345 tables for 1,341 pairs of edge
+tuple and attachment).
 
 Counts without right ends (every plane curve count, the relative counts
 with free left ends, left-end-only Hirzebruch counts) run one transfer,
@@ -207,8 +211,12 @@ def _walk(
 
     The end attachments are walked once within the budget S and grouped
     by flow profile; every diagram of a profile has the profile's
-    attachments, and nu(D) sums their vertex orders.
+    attachments, and nu(D) sums their vertex orders.  A vertex order sees
+    only the gaps of the edges, not their weights, so many (edge tuple,
+    attachment) pairs share one sorted class list; each list's count is
+    computed once per call.
     """
+    orders = {}  # sorted classes -> count_interleavings(a + 1, classes)
     attachments = defaultdict(list)  # flow profile -> end classes per attachment
     for profile, lefts, rights in _attachments(k, a, w_left, w_right, caps, budget):
         ends = []
@@ -220,7 +228,12 @@ def _walk(
     for profile, ends in attachments.items():
         for edges in _edge_tuples(a, n_edges, profile):
             classes = [(i, j - 1, m) for (i, j, _), m in Counter(edges).items()]
-            nu = sum(count_interleavings(a + 1, classes + e) for e in ends)
+            nu = 0
+            for e in ends:
+                key = tuple(sorted(classes + e))
+                if key not in orders:
+                    orders[key] = count_interleavings(a + 1, key)
+                nu += orders[key]
             r = s = nu
             for _, _, w in edges:  # bounded edges count twice
                 er, es = edge_mult(w)

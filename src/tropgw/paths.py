@@ -175,9 +175,9 @@ def _side_value(corners: _Corners, side: str, chain: int, memo: dict,
 
 
 def _side_walker(tables: _Tables, side: str):
-    """The completion multiplicity of one side, as a function of
-    (path, mask) for an increasing path whose ends lie on the side's
-    boundary chain, with a memo of its own.
+    """(walk, memo): the completion multiplicity of one side, as a function
+    walk(path, mask) for an increasing path whose ends lie on the side's
+    boundary chain, and the memo it fills, keyed by mask.
 
     A corner whose middle point lies on the chain never turns toward the
     side (the polygon is convex), so such a point is never cut or moved:
@@ -185,7 +185,8 @@ def _side_walker(tables: _Tables, side: str):
     piece is flat when its mask is the chain between its ends.  The
     function holds no reference to itself, so its memo goes with it.
     """
-    return partial(_side_value, tables.corners, side, tables.chain[side], {})
+    memo: dict[int, tuple[int, int]] = {}
+    return partial(_side_value, tables.corners, side, tables.chain[side], memo), memo
 
 
 def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GWElement:
@@ -208,7 +209,8 @@ def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GW
     tables = _tables(polygon, tie_break)
     last = len(tables.points) - 1
     pos_chain, neg_chain = tables.chain[POSITIVE], tables.chain[NEGATIVE]
-    pos, neg = _side_walker(tables, POSITIVE), _side_walker(tables, NEGATIVE)
+    pos, pos_memo = _side_walker(tables, POSITIVE)
+    neg, neg_memo = _side_walker(tables, NEGATIVE)
     memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def completions(pos_piece, pos_mask, neg_piece, neg_mask, steps):
@@ -220,21 +222,25 @@ def count_lattice_path(polygon: Polygon, g: int, tie_break: str = "ydesc") -> GW
         # the last point ends the path, and each step needs a point after it
         nexts = (last,) if steps == 1 else range(pos_piece[-1] + 1, last - steps + 2)
         for p in nexts:
+            # a closed piece is looked up in its side's memo before it is built
             bit = 1 << p
-            p_piece, p_mask = pos_piece + (p,), pos_mask | bit
-            n_piece, n_mask = neg_piece + (p,), neg_mask | bit
+            p_mask, n_mask = pos_mask | bit, neg_mask | bit
             p_rank = p_signature = 1
             if pos_chain & bit:
-                p_rank, p_signature = pos(p_piece, p_mask)
+                p_rank, p_signature = pos_memo.get(p_mask) or pos(pos_piece + (p,), p_mask)
                 if not p_rank:
                     continue
                 p_piece, p_mask = (p,), bit
+            else:
+                p_piece = pos_piece + (p,)
             if neg_chain & bit:
-                n_rank, n_signature = neg(n_piece, n_mask)
+                n_rank, n_signature = neg_memo.get(n_mask) or neg(neg_piece + (p,), n_mask)
                 if not n_rank:
                     continue
                 p_rank, p_signature = p_rank * n_rank, p_signature * n_signature
                 n_piece, n_mask = (p,), bit
+            else:
+                n_piece = neg_piece + (p,)
             if steps > 1:
                 c_rank, c_signature = completions(p_piece, p_mask, n_piece, n_mask, steps - 1)
                 p_rank, p_signature = p_rank * c_rank, p_signature * c_signature

@@ -338,7 +338,7 @@ def walker_path_mult(path, polygon: Polygon, side: str, tie_break: str = "ydesc"
         raise ValueError(f"side must be {POSITIVE!r} or {NEGATIVE!r}")
     tables = _shared_tables(polygon, tie_break)
     indices = _path_indices(path, tables)
-    value = _side_walker(tables, side)(indices, sum(1 << i for i in indices))
+    value = _side_walker(tables, side)[0](indices, sum(1 << i for i in indices))
     points = [tables.points[i] for i in indices]
     return gw_from_pair(value, [lattice_length(p, q) for p, q in zip(points, points[1:])])
 

@@ -181,3 +181,18 @@ def test_memo_size_in_a_fresh_process():
         "ch.ch_count(9, 0); print(len(ch.memo_snapshot()))\n"
     )
     assert out.split() == ["144", "441"]
+
+
+def test_floor_terms_built_once():
+    # each (d, beta, target) enumerates its floors once per process; built
+    # once per memo miss instead, these take 288 and 1,149 calls
+    out = run_fresh(
+        "calls = []\n"
+        "def counted(*args, partitions=ch.weighted_partitions, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    return partitions(*args, **kwargs)\n"
+        "ch.weighted_partitions = counted\n"
+        "ch.ch_count(7, 0); print(len(calls))\n"
+        "ch.ch_count(9, 0); print(len(calls))\n"
+    )
+    assert out.split() == ["123", "335"]

@@ -517,6 +517,21 @@ def test_sweep_takes_calls(monkeypatch):
         assert len(calls) == expected, args
 
 
+def test_walk_spread_table_calls(monkeypatch):
+    # one spread table per sorted class list of one count: the vertex orders
+    # ignore the edge weights.  One table per edge tuple and attachment takes
+    # 54 calls.
+    calls = []
+
+    def counted(*args, spread_table=floor_layer._spread_table):
+        calls.append(args)
+        return spread_table(*args)
+
+    monkeypatch.setattr(floor_layer, "_spread_table", counted)
+    hirzebruch_count(2, 3, 0, (11, 7, 1), (13,))  # ray 3 at t = 3
+    assert len(calls) == 30
+
+
 def test_connected_rational_curves_are_kontsevich_and_welschinger():
     kontsevich = (1, 1, 12, 620, 87304, 26312976, 14616808192)
     welschinger = (1, 1, 8, 240, 18264, 2845440, 792731520)

@@ -169,6 +169,26 @@ def test_count_computes_only_the_corners_it_reads(monkeypatch):
     assert max(computed) < math.comb(len(built[0].points), 3)  # 1,330
 
 
+def test_side_walker_calls(monkeypatch):
+    # a piece closed at a chain point is looked up in its side's memo before
+    # it is built; calling the walker on every closed piece takes 1,172 and
+    # 1,183 calls
+    calls = []
+
+    def counted(*args, side_value=paths._side_value):
+        calls.append(args)
+        return side_value(*args)
+
+    monkeypatch.setattr(paths, "_side_value", counted)
+    polygon = delta_polygon(5)
+    counts = []
+    for tie_break in ("ydesc", "yasc"):
+        calls.clear()
+        count_lattice_path(polygon, 3, tie_break)
+        counts.append(len(calls))
+    assert counts == [954, 963]
+
+
 def test_delta6_counts_match_recursion():
     for g in range(3, 11):
         expected = ch_count(6, g)

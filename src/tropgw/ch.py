@@ -18,13 +18,21 @@ nothing otherwise.  ``ch_count`` returns p*H + q*<+-I^beta>.
 The genus enters each term only as a shift: fixing an end keeps g, and a
 floor with |gamma| new free ends passes to g' = g - |gamma| + 1.  So the
 recursion runs once per (d, alpha, beta) and returns the counts at every
-genus, as (g_lo, ranks, signatures) with entry i at genus g_lo + i.  Its
-range starts at 1 - 2d - |beta| and ends at max_genus(d), outside of which
-nothing is counted, and both zero ends are trimmed.  A term adds its
-child's vectors, shifted by the floor's |gamma| - 1 and scaled by the
-term's pair; every shifted child lies within the parent's range.  Each
-vector is added as one slice, and the signature slice is skipped when the
-term has an even weight, which makes its signature factor 0.
+genus.  Its range starts at 1 - 2d - |beta| and ends at max_genus(d),
+outside of which nothing is counted, and both zero ends are trimmed.  A
+term adds its child's counts, shifted by the floor's |gamma| - 1 and scaled
+by the term's pair; every shifted child lies within the parent's range.
+
+The counts of one entry are packed into two integers (Kronecker
+substitution): R = sum r_i 2^(W i) and S = sum s_i 2^(W i), slot i holding
+genus g_lo + i, so a term is one multiply, shift and add on each (none on
+S when the term has an even weight, whose signature factor is 0).  Every
+rank is >= 0 and |s_i| <= r_i, so the slots decode exactly while the total
+T = sum r_i, which the terms carry as sum factor * T(child), stays below
+2^(W-1).  An entry whose total reaches it is not stored: the width W
+doubles, the packed entries go back to (g_lo, ranks, signatures) tuples,
+the form a cache loads and ``memo_snapshot`` returns, and the count reruns.
+A tuple entry is packed the first time the recursion uses it as a child.
 
 What a term needs besides the child's counts depends on less than the
 memo key, so it is built once per process: the floors of one
@@ -48,7 +56,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import count, product, zip_longest
 from math import comb, prod
-from operator import mul
+from operator import index, mul
 
 from .gw import GWElement, gw_from_pair
 
@@ -64,8 +72,13 @@ def _strip(seq) -> Sequence:
 
 
 def trim(seq) -> Sequence:
-    """Canonical form: check that no entry is negative, drop trailing zeros."""
-    seq = tuple(int(n) for n in seq)
+    """Canonical form: check that every entry is a nonnegative integer, drop
+    trailing zeros."""
+    seq = tuple(seq)
+    try:
+        seq = tuple(map(index, seq))
+    except TypeError:
+        raise ValueError("sequence entries must be integers") from None
     if any(n < 0 for n in seq):
         raise ValueError("sequence entries must be nonnegative")
     return _strip(seq)
@@ -117,6 +130,7 @@ def weighted_partitions(total: int, fewest: int = 0, most: int | None = None):
 
 
 _memo: dict = {}
+_width = 80  # bits per genus slot; every entry of degree <= 9 fits
 
 
 def max_genus(d: int) -> int:
@@ -144,9 +158,18 @@ def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
     alpha = trim(alpha)
     beta = trim(beta) if beta is not None else (d,)
     check_key(d, alpha, beta)
-    g_lo, ranks, signatures = _ch(d, alpha, beta)
-    i = g - g_lo
-    pair = (ranks[i], signatures[i]) if 0 <= i < len(ranks) else (0, 0)
+    entry = _counts(d, alpha, beta)
+    i = g - entry[0]
+    if len(entry) == 3:  # loaded from a cache, not yet packed
+        _, ranks, signatures = entry
+        pair = (ranks[i], signatures[i]) if 0 <= i < len(ranks) else (0, 0)
+    elif i < 0:
+        pair = (0, 0)
+    else:
+        _, ranks, signatures, _ = entry
+        mask, at = (1 << _width) - 1, _width * i
+        rank = (ranks >> at) & mask
+        pair = (rank, ((ranks + signatures >> at) & mask) - rank)
     free_weights = [w for w, n in enumerate(beta, start=1) for _ in range(n)]
     return gw_from_pair(pair, free_weights)
 
@@ -183,53 +206,101 @@ def _sub_alphas(alpha: Sequence) -> tuple[tuple[int, Sequence, int], ...]:
     )
 
 
-def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, Sequence, Sequence]:
-    """Counts at every genus: (g_lo, ranks, signatures), entry i at genus
-    g_lo + i, zero ends trimmed; every other genus counts nothing."""
+class _Overflow(Exception):
+    """A total reached 2^(width - 1), so slots of this width may not decode.
+    Raised out of the recursion, to ``_counts``."""
+
+
+def _pack(values) -> int:
+    """Sum of values[i] * 2^(width * i)."""
+    return sum(v << (_width * i) for i, v in enumerate(values))
+
+
+def _unpack(entry: tuple) -> tuple[int, Sequence, Sequence]:
+    """(g_lo, ranks, signatures) of a packed entry, zero ends trimmed."""
+    g_lo, ranks, signatures, _ = entry
+    mask = (1 << _width) - 1
+    slots = range(0, ranks.bit_length(), _width)
+    r = tuple((ranks >> at) & mask for at in slots)
+    both = ranks + signatures  # slot i holds r_i + s_i, from 0 to 2 r_i
+    return g_lo, r, tuple(((both >> at) & mask) - r_i for at, r_i in zip(slots, r))
+
+
+def _pack_entry(key: tuple, entry: tuple) -> tuple:
+    """Pack the tuple entry of ``key`` (as the cache loads it) in the memo."""
+    g_lo, ranks, signatures = entry
+    total = sum(ranks)
+    if total >> (_width - 1):
+        raise _Overflow
+    entry = _memo[key] = (g_lo, _pack(ranks), _pack(signatures), total)
+    return entry
+
+
+def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
+    """Counts at every genus, packed: (g_lo, R, S, T) with R and S holding
+    the rank and signature at genus g_lo + i in slot i, T the sum of the
+    ranks, and slot 0 the lowest nonzero rank."""
     if d == 1:
-        return 0, (1,), (1,)
+        return 0, 1, 1, 1
     key = (d, alpha, beta)
     cached = _memo.get(key)
     if cached is not None:
-        return cached
+        return cached if len(cached) == 4 else _pack_entry(key, cached)
+    width = _width
     g_lo = genus_floor(d, beta)
-    ranks = [0] * (max_genus(d) - g_lo + 1)
-    signatures = ranks[:]
-
-    def add(child, shift, rank_factor, signature_factor):
-        c_lo, c_ranks, c_signatures = child
-        lo = c_lo + shift - g_lo
-        hi = lo + len(c_ranks)
-        ranks[lo:hi] = [x + rank_factor * r for x, r in zip(ranks[lo:hi], c_ranks)]
-        if signature_factor:
-            signatures[lo:hi] = [
-                x + signature_factor * s for x, s in zip(signatures[lo:hi], c_signatures)
-            ]
-
+    ranks = signatures = total = 0
     for k, bk in enumerate(beta, start=1):
-        if bk > 0:
-            add(_ch(d, _seq_add(alpha, k, 1), _seq_add(beta, k, -1)), 0, k, k % 2)
+        if bk:
+            c_lo, c_ranks, c_signatures, c_total = _ch(
+                d, _seq_add(alpha, k, 1), _seq_add(beta, k, -1)
+            )
+            at = width * (c_lo - g_lo)
+            ranks += c_ranks * k << at
+            if k % 2:
+                signatures += c_signatures << at
+            total += c_total * k
     top = d - 1 - sum(map(mul, beta, count(1)))
     for ia_p, alpha_p, binom_alpha in _sub_alphas(alpha):
-        if ia_p > top:
-            continue
-        for shift, beta_p, rank_factor, signature_factor in _floor_terms(
-            d, beta, top - ia_p
-        ):
-            add(
-                _ch(d - 1, alpha_p, beta_p), shift,
-                binom_alpha * rank_factor, binom_alpha * signature_factor,
-            )
-    live = [i for i, r in enumerate(ranks) if r]  # a form of rank 0 is zero
-    lo, hi = (live[0], live[-1] + 1) if live else (0, 0)
-    value = (g_lo + lo, tuple(ranks[lo:hi]), tuple(signatures[lo:hi]))
-    _memo[key] = value
+        if ia_p <= top:
+            for shift, beta_p, rf, sf in _floor_terms(d, beta, top - ia_p):
+                c_lo, c_ranks, c_signatures, c_total = _ch(d - 1, alpha_p, beta_p)
+                at = width * (c_lo + shift - g_lo)
+                rank_factor = binom_alpha * rf
+                ranks += c_ranks * rank_factor << at
+                if sf:
+                    signatures += c_signatures * (binom_alpha * sf) << at
+                total += c_total * rank_factor
+    if total >> (width - 1):  # a rank may fill its slot: nothing decodes
+        raise _Overflow
+    if ranks:  # trim the zero slots below the lowest nonzero rank
+        low = ((ranks & -ranks).bit_length() - 1) // width
+        g_lo += low
+        ranks >>= width * low
+        signatures >>= width * low  # |s_i| <= r_i: these slots are 0 too
+    value = _memo[key] = (g_lo, ranks, signatures, total)
     return value
+
+
+def _counts(d: int, alpha: Sequence, beta: Sequence) -> tuple:
+    """The memo entry of (d, alpha, beta), computed if missing.  When a total
+    outgrows the slot width, every packed entry goes back to tuples (to be
+    packed again when used), the width doubles and the recursion reruns."""
+    global _width
+    while True:
+        try:
+            return _memo.get((d, alpha, beta)) or _ch(d, alpha, beta)
+        except _Overflow:
+            for key, entry in _memo.items():
+                if len(entry) == 4:
+                    _memo[key] = _unpack(entry)
+            _width *= 2
 
 
 def memo_snapshot() -> dict:
     """Copy of the memo table, (d, alpha, beta) -> (g_lo, ranks, signatures)."""
-    return dict(_memo)
+    return {
+        key: entry if len(entry) == 3 else _unpack(entry) for key, entry in _memo.items()
+    }
 
 
 def memo_size() -> int:

@@ -191,7 +191,7 @@ def cmd_count(args) -> int:
         _reject("give either --d or the --k/--a Hirzebruch data")
     if args.d is not None and (args.wl or args.wr):
         _reject("--wl/--wr need the --k/--a Hirzebruch data, not --d")
-    if method != "ch" and (args.alpha or args.beta):
+    if method != "ch" and (args.alpha is not None or args.beta is not None):
         _reject("--alpha/--beta are only supported by --method ch")
     if method != "floor" and args.connected:
         _reject("--connected is only supported by --method floor")
@@ -204,7 +204,7 @@ def cmd_count(args) -> int:
         if args.d is None:
             _reject("--method ch needs --d")
         alpha = _weights_flag("--alpha", args.alpha)
-        beta = _weights_flag("--beta", args.beta) if args.beta else None
+        beta = None if args.beta is None else _weights_flag("--beta", args.beta)
         value = ch.ch_count(args.d, args.g, alpha, beta)
     elif method == "latticepath":
         from . import paths

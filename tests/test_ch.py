@@ -16,6 +16,7 @@ from tropgw.ch import (
     trim,
     weighted_partitions,
 )
+from tropgw.floors import delta_floor_count
 from tropgw.gw import ONE, gw_equal, hyperbolic, render
 from tropgw.lattice import delta_polygon
 from tropgw.paths import count_lattice_path
@@ -67,6 +68,12 @@ def test_trim():
     assert trim(()) == ()
     with pytest.raises(ValueError):
         trim((-1,))
+    # int() would read these as 2 and count beta = (2,) instead
+    for entry in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            trim((0, entry))
+        with pytest.raises(ValueError):
+            ch_count(2, 0, (), (entry,))
 
 
 def test_base_cases():
@@ -136,6 +143,13 @@ def test_relative_counts_match_gw_reference():
     assert checked == 3150
 
 
+def test_agreement_with_floor_diagrams_past_one_machine_word():
+    # the ranks at d = 10 take 68 bits
+    value = ch_count(10, 0)
+    assert value.rank.bit_length() > 64
+    assert gw_equal(value, delta_floor_count(10, 0))
+
+
 def test_relative_counts_small():
     # one fixed weight-1 end: a line through one point and the fixed end
     assert ch_count(1, 0, (1,), ()) == ONE
@@ -196,3 +210,41 @@ def test_floor_terms_built_once():
         "ch.ch_count(9, 0); print(len(calls))\n"
     )
     assert out.split() == ["123", "335"]
+
+
+def test_slot_width_grows_until_every_count_decodes():
+    # from 3 bits per genus slot the width doubles four times on the way to
+    # d = 6; a cache's tuples, packed when first used, widen it the same way
+    out = run_fresh(
+        "ch._width = 3\n"
+        "pairs = []\n"
+        "for d in range(1, 7):\n"
+        "    for ia in range(d + 1):\n"
+        "        for alpha in ch.weighted_partitions(ia):\n"
+        "            for beta in ch.weighted_partitions(d - ia):\n"
+        "                for g in range(1 - 3 * d, ch.max_genus(d) + 2):\n"
+        "                    value = ch.ch_count(d, g, alpha, beta)\n"
+        "                    pairs.append((value.rank, value.signature))\n"
+        "print(ch._width)\n"
+        "print(pairs)\n"
+        "snapshot = ch.memo_snapshot()\n"
+        "ch._memo.clear()\n"
+        "ch._width = 3\n"
+        "ch.memo_load(snapshot)\n"
+        "value = ch.ch_count(7, 0)\n"
+        "print(ch._width, value.rank, value.signature)\n"
+    )
+    width, pairs, reloaded = out.splitlines()
+    assert int(width) == 48
+    expected = []
+    for d in range(1, 7):
+        for ia in range(d + 1):
+            for alpha in weighted_partitions(ia):
+                for beta in weighted_partitions(d - ia):
+                    for g in range(1 - 3 * d, max_genus(d) + 2):
+                        value = ref.ch_count(d, g, alpha, beta)
+                        expected.append((value.rank, value.signature))
+    assert ast.literal_eval(pairs) == expected
+    value = ch_count(7, 0)
+    width, rank, signature = map(int, reloaded.split())
+    assert width > 3 and (rank, signature) == (value.rank, value.signature)

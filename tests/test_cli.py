@@ -240,6 +240,26 @@ def test_count_argument_errors_exit_2(capsys, argv, message):
     assert_argument_error(capsys, ["count", *argv.split()], message)
 
 
+@pytest.mark.parametrize("empty", [["--beta", ""], ["--beta="]])
+def test_empty_beta_is_no_free_end(capsys, empty):
+    # beta = () is a sequence like any other, not the default (d)
+    code, out = run_cli(
+        capsys, "count", "--method", "ch", "--d", "3", "--g", "0", "--alpha", "3", *empty
+    )
+    assert code == 0
+    assert out == "2ℍ + 6⟨1⟩ (rank 10, signature 6)\n"
+    value = ch.ch_count(3, 0, (3,), ())
+    assert out == f"{render(value)} (rank {value.rank}, signature {value.signature})\n"
+    assert_argument_error(
+        capsys, ["count", "--method", "ch", "--d", "3", "--g", "0", *empty],
+        "I(alpha) + I(beta) = 0 != d = 3",
+    )
+    assert_argument_error(
+        capsys, ["count", "--method", "floor", "--d", "3", "--g", "0", *empty],
+        "--alpha/--beta are only supported by --method ch",
+    )
+
+
 def test_count_connected_with_recursion_is_an_error():
     # the recursion counts disconnected curves too (rank 675, not 620)
     proc = run_cli_process(

@@ -32,7 +32,8 @@ T = sum r_i, which the terms carry as sum factor * T(child), stays below
 2^(W-1).  An entry whose total reaches it is not stored: the width W
 doubles, the packed entries go back to (g_lo, ranks, signatures) tuples,
 the form a cache loads and ``memo_snapshot`` returns, and the count reruns.
-A tuple entry is packed the first time the recursion uses it as a child.
+A tuple entry is packed the first time ``_ch`` reads it, as a child or as
+the key ``ch_count`` asks for.
 
 What a term needs besides the child's counts depends on less than the
 memo key, so it is built once per process: the floors of one
@@ -46,9 +47,10 @@ sequence has no negative entry and no trailing zero; the recursion
 receives canonical tuples and builds only canonical tuples, so every memo
 key is canonical.
 
-The memo table, keyed by (d, alpha, beta), is an associative cache: every
-insertion for a key writes the same counts at every genus, so concurrent
-evaluation and cache merging are safe.
+The memo table is keyed by (d, alpha, beta).  Evaluation is
+single-threaded: a widening rewrites every memo entry and changes the
+width for the whole process.  Merging tuple entries through ``memo_load``
+is safe, since every insertion for a key writes the same counts.
 """
 
 from __future__ import annotations
@@ -158,15 +160,11 @@ def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
     alpha = trim(alpha)
     beta = trim(beta) if beta is not None else (d,)
     check_key(d, alpha, beta)
-    entry = _counts(d, alpha, beta)
-    i = g - entry[0]
-    if len(entry) == 3:  # loaded from a cache, not yet packed
-        _, ranks, signatures = entry
-        pair = (ranks[i], signatures[i]) if 0 <= i < len(ranks) else (0, 0)
-    elif i < 0:
+    g_lo, ranks, signatures, _ = _counts(d, alpha, beta)
+    i = g - g_lo
+    if i < 0:
         pair = (0, 0)
     else:
-        _, ranks, signatures, _ = entry
         mask, at = (1 << _width) - 1, _width * i
         rank = (ranks >> at) & mask
         pair = (rank, ((ranks + signatures >> at) & mask) - rank)
@@ -281,26 +279,33 @@ def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
     return value
 
 
-def _counts(d: int, alpha: Sequence, beta: Sequence) -> tuple:
-    """The memo entry of (d, alpha, beta), computed if missing.  When a total
-    outgrows the slot width, every packed entry goes back to tuples (to be
-    packed again when used), the width doubles and the recursion reruns."""
+def _unpack_memo() -> None:
+    """Turn every packed memo entry back into a tuple entry, in place."""
+    for key, entry in _memo.items():
+        if len(entry) == 4:
+            _memo[key] = _unpack(entry)
+
+
+def _counts(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
+    """The packed entry of (d, alpha, beta), computed if missing.  When a
+    total outgrows the slot width, every packed entry goes back to tuples
+    (to be packed again when used), the width doubles and the recursion
+    reruns."""
     global _width
     while True:
         try:
-            return _memo.get((d, alpha, beta)) or _ch(d, alpha, beta)
+            return _ch(d, alpha, beta)
         except _Overflow:
-            for key, entry in _memo.items():
-                if len(entry) == 4:
-                    _memo[key] = _unpack(entry)
+            _unpack_memo()
             _width *= 2
 
 
 def memo_snapshot() -> dict:
-    """Copy of the memo table, (d, alpha, beta) -> (g_lo, ranks, signatures)."""
-    return {
-        key: entry if len(entry) == 3 else _unpack(entry) for key, entry in _memo.items()
-    }
+    """Copy of the memo table, (d, alpha, beta) -> (g_lo, ranks, signatures).
+    Packed entries are unpacked in place first, so the table is never held
+    in both forms; the recursion packs them again as it uses them."""
+    _unpack_memo()
+    return dict(_memo)
 
 
 def memo_size() -> int:

@@ -91,7 +91,7 @@ def _load_cache(path: str | None) -> int | None:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested
         _warn(f"cache {path} is unreadable ({exc}); starting empty and rewriting it")
         return None
     if (
@@ -444,6 +444,12 @@ def main(argv=None) -> int:
         code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(
+            "error: this count needs a deeper recursion than Python allows",
+            file=sys.stderr,
+        )
         return 2
     if loaded == ch.memo_size():
         return code  # the file already holds every entry

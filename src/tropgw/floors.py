@@ -17,38 +17,28 @@ the shortfall sum(cap_p - c_p) plus the non-short costs.  Both parts are
 non-negative, and for plane curves S is the number of nodes.
 
 ``_line_free`` counts the curves without bare horizontal lines: it alone
-sets the caps and S, returns 0 when S or a + g - 1 is negative, runs one
-of the two engines below and multiplies in the end factors.  ``_count``
-adds the lines: a bare horizontal line pairs a left with an equal-weight
-right end and meets one point, placed anywhere among the others.
+sets the caps and S, returns 0 when S or a + g - 1 is negative, runs the
+transfer below and multiplies in the end factors.  ``_count`` adds the
+lines: a bare horizontal line pairs a left with an equal-weight right end
+and meets one point, placed anywhere among the others.
 
-Counts with right ends (the Hirzebruch rays) run ``_walk``.
-``_attachments`` attaches the ends floor by floor, once, keeping the flow
-profiles whose shortfall fits S, and the attachments are grouped by
-profile.  ``_edge_tuples`` then adds, floor by floor, outgoing edges
-carrying exactly the flow each gap still lacks.  Every attachment of a
-profile gives each of its diagrams divergence k on every floor, so the
-markings of one edge tuple are the vertex orders summed over the
-profile's attachments (``count_interleavings``, the sum of the table
-{load vector: orderings} that the templates share).  The vertex orders
-see only which gaps each class of black vertices may take, not the edge
-weights, so one count builds one table per sorted class list (on the
-seed-1 rays of the floors benchmark, 345 tables for 1,341 pairs of edge
-tuple and attachment).
-
-Counts without right ends (every plane curve count, the relative counts
-with free left ends, left-end-only Hirzebruch counts) run one transfer,
-``_sweep``, through gap 0, floor 1, gap 1, ..., floor a, which sums
-nu(D) * mult(D) over all diagrams at once.  The left ends are the edges
-out of a floor 0, as in the templates, and the state holds only counts of
-edges not yet placed or not yet given a target, so diagrams that agree on
-them share one entry.  Heavy, distinct end weights give every
-state its own entry, so on the rays a transfer would share nothing and
-only add its bookkeeping.  Where states do merge, the gain is large:
+Every line-free count runs one transfer, ``_sweep``, through gap 0, floor
+1, gap 1, ..., floor a, gap a, which sums nu(D) * mult(D) over all
+diagrams at once.  The left ends are the edges out of a floor 0, as in the
+templates, and the right ends wait in a pool until a floor attaches them.
+The state holds only counts of edges not yet placed or not yet given a
+target, of right ends not yet attached or not yet placed, so diagrams that
+agree on them share one entry.  Where states merge, the gain is large:
 ``severi_count(8, 8)`` took 74 s one diagram at a time and takes 0.1 s by
-the transfer (Python 3.11, 2 CPUs).
+the transfer, and ``tropgw count --method floor --k 1 --a 5 --wl
+1,1,1,1,1,1,1,1 --wr 1,1,1 --g 4``, whose small repeated end weights give
+each flow profile many end attachments, took 12 min when every edge
+tuple was summed over every attachment and takes 0.4 s (Python 3.11, 2
+CPUs).  Heavy,
+distinct end weights make every partition of a floor's out-flow its own
+state; the transfer prunes the splits that later floors cannot take.
 
-Connected counts, which neither engine can see, follow from the
+Connected counts, which the transfer cannot see, follow from the
 line-free counts by the exponential formula (``_connected``): a connected
 curve with a floor has no line component, and a line-free curve splits
 into its component through the first point, which has a floor, and a
@@ -69,9 +59,11 @@ p*H + q*<+-W> with W the product of all end weights.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
+from functools import cache
 from itertools import product
 from math import comb, factorial, prod
+from operator import mul, sub
 
 from .ch import max_genus, weighted_partitions
 from .gw import GWElement, gw_from_pair
@@ -82,302 +74,247 @@ def edge_mult(w: int) -> tuple[int, int]:
     return w, w % 2
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _takes(items, need: int, ordered: bool, allowed: int | None = None):
+    """Every way to take x_i <= n_i items of each class (w_i, n_i) in
+    ``items`` whose taken weight sum(w_i * x_i) is at least ``need`` and,
+    if ``allowed`` is given, one of its bits.
 
-
-def _spread_table(num_gaps: int, classes) -> dict[tuple[int, ...], int]:
-    """{load vector: orderings} of identical-within-class items in ordered gaps.
-
-    ``classes`` lists (lo, hi, count): each class puts ``count`` identical
-    items somewhere in gaps lo..hi.  Items in one gap can be permuted
-    arbitrarily, so putting c more items of a class into a gap that holds
-    ``load`` items multiplies the orderings by C(load + c, c).  A load
-    vector maps to the orderings summed over the spreads that give it.
+    Returns (xs, weight, load, ways) with load = sum x_i.  ``ways`` is the
+    number of orderings load! / prod(x_i!) of the taken items in one gap if
+    ``ordered``, else the number prod C(n_i, x_i) of subsets taken.
     """
-    table = {(0,) * num_gaps: 1}
-    for lo, hi, count in classes:
-        if not count:
-            continue
-        grown: dict[tuple[int, ...], int] = {}
-        for loads, ways in table.items():
-            for comp in _compositions(count, hi - lo + 1):
-                new = list(loads)
-                spread = ways
-                for gap, c in enumerate(comp, lo):
-                    spread *= comb(new[gap] + c, c)
-                    new[gap] += c
-                key = tuple(new)
-                grown[key] = grown.get(key, 0) + spread
-        table = grown
-    return table
+    reach = sum(w * n for w, n in items)  # the weight of the classes not yet taken
+    found = [((), 0, 0, 1)]  # (xs, weight, load, ways) over the classes so far
+    for w, n in items:
+        reach -= w * n
+        grown = []
+        for xs, weight, load, ways in found:
+            for x in range(max(0, -((weight + reach - need) // w)), n + 1):
+                step = comb(load + x, x) if ordered else comb(n, x)
+                grown.append((xs + (x,), weight + w * x, load + x, ways * step))
+        found = grown
+    if allowed is not None:
+        return [take for take in found if allowed >> take[1] & 1]
+    return found
 
 
-def count_interleavings(num_gaps: int, classes) -> int:
-    """Orderings of identical-within-class items in ordered gaps, summed
-    over every load vector of ``_spread_table(num_gaps, classes)``."""
-    return sum(_spread_table(num_gaps, classes).values())
+def _orders(sizes) -> int:
+    """(sum n)! / prod(n!): the orders of items in one gap, alike within
+    each class of ``sizes``."""
+    ways = factorial(sum(sizes))
+    for n in sizes:
+        ways //= factorial(n)
+    return ways
 
 
-def _attachments(k: int, a: int, w_left, w_right, caps, spare: int):
-    """End attachments, floor by floor, with the flow profile they give.
-
-    Yields (profile, lefts, rights): profile[p] is the weight c_p crossing
-    the gap after floor p (profile[0] = 0), and lefts[v] and rights[v]
-    count the left and right ends of each distinct weight, in increasing
-    order, attached to floor v+1.  Every c_p satisfies 0 <= c_p <= caps[p],
-    the shortfall sum(caps[p] - c_p) stays within ``spare``, and floor a
-    takes the ends that are left.  With spare 0 every c_p is caps[p].
-    """
-    n_left, n_right = Counter(w_left), Counter(w_right)
-    l_weights, r_weights = sorted(n_left), sorted(n_right)
-
-    def walk(v: int, rest_l, rest_r, profile, lefts, rights, spare: int):
-        if v == a:
-            yield profile, lefts + (rest_l,), rights + (rest_r,)
-            return
-        lo = max(0, caps[v] - spare)
-        for left in product(*(range(m + 1) for m in rest_l)):
-            gain = profile[-1] - k + sum(w * n for w, n in zip(l_weights, left))
-            if gain < lo:
-                continue
-            for right in product(*(range(m + 1) for m in rest_r)):
-                c = gain - sum(w * n for w, n in zip(r_weights, right))
-                if lo <= c <= caps[v]:
-                    yield from walk(
-                        v + 1,
-                        tuple(m - n for m, n in zip(rest_l, left)),
-                        tuple(m - n for m, n in zip(rest_r, right)),
-                        profile + (c,),
-                        lefts + (left,),
-                        rights + (right,),
-                        spare - caps[v] + c,
-                    )
-
-    l_counts = tuple(n_left[w] for w in l_weights)
-    r_counts = tuple(n_right[w] for w in r_weights)
-    yield from walk(1, l_counts, r_counts, (0,), (), (), spare)
+def _place_edges(waiting, strands, need: int):
+    """A gap's placements of the waiting edge vertices, at least ``need``
+    in weight: (waiting left, strands after, #placed, orders)."""
+    found = []
+    for xs, _, placed, ways in _takes(waiting, need, True):
+        merged = dict(strands)
+        rest = []
+        for (w, n), x in zip(waiting, xs):
+            if x:
+                merged[w] = merged.get(w, 0) + x
+            if n > x:
+                rest.append((w, n - x))
+        found.append((tuple(sorted(rest)), tuple(sorted(merged.items())), placed, ways))
+    return found
 
 
-def _edge_tuples(a: int, n_edges: int, profile):
-    """The edges of every diagram on a floors with ``n_edges`` edges whose
-    flow profile is ``profile``, one tuple of (i, j, w) per diagram.
-
-    Floor by floor, the outgoing edges carry exactly the flow each gap
-    still lacks.  The spare sum(c_p) - n_edges pays the costs (j - i)*w - 1
-    of the non-short edges, and a diagram has ``n_edges`` edges exactly
-    when nothing of it is left.
-    """
-    c, flow, edges = profile + (0,), [0] * (a + 1), []
-
-    def leave(p: int, need: int, last: tuple[int, int], spare: int, room: int):
-        # edges out of floor p, in non-increasing (weight, target) order
-        if p == a:  # every gap is full, so the edges spent the spare
-            yield tuple(edges)
-            return
-        if need == 0:
-            yield from leave(p + 1, c[p + 1] - flow[p + 1], (c[p + 1], a), spare, room)
-            return
-        if need - room > spare:  # an edge of weight w costs at least w - 1
-            return
-        for w in range(min(need, last[0], spare + 1), 0, -1):
-            if need > w * room:
-                return
-            for j in range(p + 1, (last[1] if w == last[0] else a) + 1):
-                cost = (j - p) * w - 1
-                if cost > spare or (j - 1 > p and flow[j - 1] + w > c[j - 1]):
-                    break
-                for q in range(p + 1, j):
-                    flow[q] += w
-                edges.append((p, j, w))
-                yield from leave(p, need - w, (w, j), spare - cost, room - 1)
-                edges.pop()
-                for q in range(p + 1, j):
-                    flow[q] -= w
-
-    yield from leave(1, c[1], (c[1], a), sum(c) - n_edges, n_edges)
+@cache
+def _place_ends(rwait):
+    """A gap's placements of y of the right-end vertices of the classes of
+    sizes ``rwait``: (y, orders among themselves, the sizes left)."""
+    return [
+        (sum(ys), _orders(ys), tuple(sorted(n - y for n, y in zip(rwait, ys) if n > y)))
+        for ys in product(*(range(n + 1) for n in rwait))
+    ]
 
 
-def _walk(
+def _sweep(
     k: int, a: int, w_left, w_right, n_edges: int, caps, budget: int
 ) -> tuple[int, int]:
     """(rank, signature) of sum nu(D) * mult(D) over every diagram with
     ends ``w_left`` and ``w_right`` and ``n_edges`` edges, no lines.
 
-    The end attachments are walked once within the budget S and grouped
-    by flow profile; every diagram of a profile has the profile's
-    attachments, and nu(D) sums their vertex orders.  A vertex order sees
-    only the gaps of the edges, not their weights, so many (edge tuple,
-    attachment) pairs share one sorted class list; each list's count is
-    computed once per call.
-    """
-    orders = {}  # sorted classes -> count_interleavings(a + 1, classes)
-    attachments = defaultdict(list)  # flow profile -> end classes per attachment
-    for profile, lefts, rights in _attachments(k, a, w_left, w_right, caps, budget):
-        ends = []
-        for v in range(a):  # black end vertices before / after floor v+1
-            ends += [(0, v, m) for m in lefts[v]]
-            ends += [(v + 1, a, m) for m in rights[v]]
-        attachments[profile].append(ends)
-    rank = signature = 0
-    for profile, ends in attachments.items():
-        for edges in _edge_tuples(a, n_edges, profile):
-            classes = [(i, j - 1, m) for (i, j, _), m in Counter(edges).items()]
-            nu = 0
-            for e in ends:
-                key = tuple(sorted(classes + e))
-                if key not in orders:
-                    orders[key] = count_interleavings(a + 1, key)
-                nu += orders[key]
-            r = s = nu
-            for _, _, w in edges:  # bounded edges count twice
-                er, es = edge_mult(w)
-                r *= er * er
-                s *= es * es
-            rank += r
-            signature += s
-    return rank, signature
+    One transfer runs through gap 0, floor 1, gap 1, ..., floor a, gap a,
+    and counts the markings of every diagram at once.  A state is
+    (waiting, strands, started, pool, rwait):
+    - waiting: the classes (w, n) of edges started at one floor whose
+      black vertex is not yet placed.  The left ends are floor 0's class
+      of each weight, as in Fomin-Mikhalkin.  Edges from different floors
+      are different classes, so each class is kept apart, though not its
+      floor;
+    - strands: per weight, the placed black vertices of edges whose target
+      is not yet chosen;
+    - started: the number of edges started at floors 1..v;
+    - pool: per right-end weight, the right ends not yet attached;
+    - rwait: the sizes of the classes of attached right ends whose black
+      vertex is not yet placed, one class per floor and weight.
 
-
-def _takes(items, need: int, ordered: bool):
-    """Every way to take x_i <= n_i items of each class (w_i, n_i) in
-    ``items`` whose taken weight sum(w_i * x_i) is at least ``need``.
-
-    Returns (xs, weight, ways) triples.  ``ways`` is the number of
-    orderings (sum x_i)! / prod(x_i!) of the taken items in one gap if
-    ``ordered``, else the number prod C(n_i, x_i) of subsets taken.
-    """
-    reach = [0] * (len(items) + 1)  # reach[i]: the weight of classes i, i+1, ...
-    for i in range(len(items) - 1, -1, -1):
-        reach[i] = reach[i + 1] + items[i][0] * items[i][1]
-    found = []
-
-    def take(i: int, xs: tuple, weight: int, load: int, ways: int):
-        if i == len(items):
-            found.append((xs, weight, ways))
-            return
-        w, n = items[i]
-        for x in range(max(0, -((weight + reach[i + 1] - need) // w)), n + 1):
-            step = comb(load + x, x) if ordered else comb(n, x)
-            take(i + 1, xs + (x,), weight + w * x, load + x, ways * step)
-
-    take(0, (), 0, 0, 1)
-    return found
-
-
-def _sweep(k: int, a: int, w_left, n_edges: int, budget: int) -> tuple[int, int]:
-    """(rank, signature) of sum nu(D) * mult(D) over every diagram with
-    left ends ``w_left``, no right ends and ``n_edges`` edges.
-
-    One transfer runs through gap 0, floor 1, gap 1, ..., floor a, and
-    counts the orders of the markings of every diagram at once.  The left
-    ends are the edges out of a floor 0, as in Fomin-Mikhalkin.  A state
-    is (waiting, strands, started): the classes (w, n) of edges started at
-    one floor whose black vertex is not yet placed, the left ends being
-    floor 0's class of each weight (edges from different floors are
-    different classes, so each class is kept apart, though not its
-    floor); per weight, the placed black vertices of edges whose target is
-    not yet chosen; and the number of edges started at floors 1..a.
-
-    A gap places items, in load! / prod(n!) orders, and placed items of
-    one weight join one strand count.  A floor picks the edges that end on
-    it among the placed ones: picking C(placed, m) of them, gap by gap,
+    A gap places edge and right-end vertices, in load! / prod(n!) orders.
+    Placed edge vertices of one weight join one strand count, and placed
+    right-end vertices leave the state.  A floor picks the edges that end
+    on it among the placed ones: picking C(placed, m) of them, gap by gap,
     counts every labelling of the placed items once (Vandermonde), and
-    which of them are left ends changes nothing after.  It then starts
-    edges whose weights partition its out-flow, at (w^2, w mod 2) each:
-    the partitions come from ``ch.weighted_partitions`` with the
-    part-count bounds below, and their classes (w, n) are read off once
-    per (out-flow, bounds).  With cap_q = (a - q) * k the most flow gap q
-    carries, the edges started at floors 1..v are at least
-    sum(cap_q, q <= v) - S, where S is the budget of the module docstring,
-    and at most ``n_edges``; at floor a - 1 the two bounds meet.  After
-    floor v the edges not yet ended weigh (a - v) * k, so the gap before
-    floor a, which must hand floor a at least k, places everything, and
-    floor a ends every state with divergence k and no edge to start.
+    which of them are left ends changes nothing after.  It attaches a
+    sub-multiset of the pool, one way per count vector since ends of one
+    weight are alike, and starts edges whose weights partition the rest of
+    its out-flow, at (w^2, w mod 2) each.  The partitions come from
+    ``ch.weighted_partitions`` with the part-count bounds below.
+
+    With cap_q the most flow gap q carries, the edges started at floors
+    1..v are at least sum(cap_q, q <= v) - S, where S is the budget of the
+    module docstring, and at most ``n_edges``; at floor a - 1 the two
+    bounds meet.  After floor v the edges not yet ended weigh (a - v) * k
+    plus the weight of the pool, and floor a takes k plus the whole pool.
+    So a floor that starts no edge takes k plus the right ends it attaches:
+    a split that starts the last edge, or a placement before such a floor,
+    survives only if that floor can take some of the edges not yet ended.
+    After floor a - 1 every edge ends on floor a, so only class sizes
+    matter and the last two gaps close in one sum (``finish``).  Every
+    table below lives for one call.
     """
-    starts = {}  # (out-flow, fewest, most) -> [(classes, #edges, rank, signature)]
+    r_weights = sorted(set(w_right))
 
+    @cache
     def start_edges(out: int, fewest: int, most: int):
-        key = (out, fewest, most)
-        if key not in starts:
-            starts[key] = []
-            for gamma in weighted_partitions(out, fewest, most):
-                classes = tuple((w, n) for w, n in enumerate(gamma, 1) if n)
-                rank = prod(w ** (2 * n) for w, n in classes)
-                signature = prod((w % 2) ** n for w, n in classes)
-                starts[key].append((classes, sum(gamma), rank, signature))
-        return starts[key]
+        starts = []
+        for gamma in weighted_partitions(out, fewest, most):
+            classes = tuple((w, n) for w, n in enumerate(gamma, 1) if n)
+            rank = prod(w ** (2 * n) for w, n in classes)
+            signature = prod((w % 2) ** n for w, n in classes)
+            starts.append((classes, sum(gamma), rank, signature))
+        return starts
 
-    states = {(tuple(sorted(Counter(w_left).items())), (), 0): (1, 1)}
+    @cache
+    def sub_pools(pool, rwait):
+        # the sub-multisets a floor may attach, by increasing weight, with
+        # the pool they leave, rwait after and the next floor's takes_of
+        found = []
+        for taken in product(*(range(n + 1) for n in pool)):
+            left = tuple(map(sub, pool, taken))
+            attached = tuple(sorted(rwait + tuple(n for n in taken if n)))
+            found.append((sum(map(mul, r_weights, taken)), left, attached, takes_of(left)))
+        return sorted(found)
+
+    @cache
+    def pick_strands(strands, need: int, allowed):
+        # a floor's picks of the strands that end on it, with those kept
+        return [
+            (tuple((w, n - x) for (w, n), x in zip(strands, xs) if n > x), inflow, ways)
+            for xs, inflow, _, ways in _takes(strands, need, False, allowed)
+        ]
+
+    @cache
+    def sums(items) -> int:
+        # bit e: some sub-multiset of the classes (w, n) of ``items`` weighs e
+        bits = 1
+        for w, n in items:
+            for _ in range(n):
+                bits |= bits << w
+        return bits
+
+    def takes_of(pool) -> int:
+        # bit e: a floor that starts no edge may take in-flow e
+        bits = sums(tuple(zip(r_weights, pool)))
+        return bits << k if k >= 0 else bits >> -k
+
+    @cache
+    def finish(waits, pool, rwait, most: int, inflow: int):
+        # floor a - 1 with in-flow ``inflow``, then gaps a - 1 and a
+        rank = signature = 0
+        for weight, left, attached, _ in sub_pools(pool, rwait):
+            out = inflow - k - weight
+            if out < most:
+                break
+            rest = tuple(n for n in left if n)
+            by_sizes = {}  # only the class sizes of the new edges matter
+            for classes, _, r, s in start_edges(out, most, most):
+                sizes = waits + tuple(n for _, n in classes)
+                old_r, old_s = by_sizes.get(sizes, (0, 0))
+                by_sizes[sizes] = (old_r + r, old_s + s)
+            for sizes, (r, s) in by_sizes.items():
+                # gaps a - 1 and a: y of rwait go to gap a - 1 with every
+                # edge vertex, and gap a takes the rest and the pool left
+                ways = sum(
+                    _orders(sizes + ys) * _orders(tuple(map(sub, attached, ys)) + rest)
+                    for ys in product(*(range(n + 1) for n in attached))
+                )
+                rank += r * ways
+                signature += s * ways
+        return rank, signature
+
+    pool = tuple(Counter(w_right)[w] for w in r_weights)
+    waiting = tuple(sorted(Counter(w_left).items()))
+    if a == 1:  # gap 0 places every left end, and floor 1 takes the pool
+        return finish(tuple(n for _, n in waiting), pool, (), 0, k)
+    states = {(waiting, (), 0, pool, ()): (1, 1)}
     least = -budget  # sum(cap_q, q <= v) - S: the fewest edges floors 1..v start
-    for v in range(a):
-        if v:  # floor v
-            least += (a - v) * k
-            after = {}
-            for (waiting, strands, started), (r, s) in states.items():
-                fewest, most = max(least - started, 0), n_edges - started
-                for xs, inflow, ways in _takes(strands, k + fewest, False):
-                    kept = tuple((w, n - x) for (w, n), x in zip(strands, xs) if n > x)
-                    for classes, parts, rank, signature in start_edges(
-                        inflow - k, fewest, most
-                    ):
-                        key = (tuple(sorted(waiting + classes)), kept, started + parts)
-                        old_r, old_s = after.get(key, (0, 0))
-                        after[key] = (
-                            old_r + r * ways * rank,
-                            old_s + s * ways * signature,
-                        )
-            states = after
-        # gap v
+    rank = signature = 0
+    for v in range(1, a):
+        # gap v - 1: floor v takes k plus one unit per edge it must start
         after = {}
-        for (waiting, strands, started), (r, s) in states.items():
-            # floor v + 1 takes k plus one unit per edge it must start
+        for (waiting, strands, started, pool, rwait), (r, s) in states.items():
             held = sum(w * n for w, n in strands)
-            fewest = max(least + (a - v - 1) * k - started, 0)
-            for xs, _, ways in _takes(waiting, k + fewest - held, True):
-                merged = dict(strands)
-                rest = []
-                for (w, n), x in zip(waiting, xs):
-                    if x:
-                        merged[w] = merged.get(w, 0) + x
-                    if n > x:
-                        rest.append((w, n - x))
-                key = (tuple(sorted(rest)), tuple(sorted(merged.items())), started)
-                old_r, old_s = after.get(key, (0, 0))
-                after[key] = (old_r + r * ways, old_s + s * ways)
+            need = max(k + least + caps[v] - started - held, k - held, 0)
+            fits = takes_of(pool) if started == n_edges else 0
+            for rest, merged, placed, ways in _place_edges(waiting, strands, need):
+                if fits and not sums(merged) & fits:
+                    continue  # floor v cannot take k plus some of the pool
+                if v == a - 1:  # an edge not placed by now ends on floor a:
+                    rest = tuple(sorted(n for _, n in rest))  # only sizes matter
+                for y, orders, unplaced in _place_ends(rwait):
+                    ways_y = ways * orders * comb(placed + y, y)
+                    key = (rest, merged, started, pool, unplaced)
+                    old_r, old_s = after.get(key, (0, 0))
+                    after[key] = (old_r + r * ways_y, old_s + s * ways_y)
         states = after
-    # floor a takes the weight k left, so every state ends here
-    rank = sum(r for r, _ in states.values())
-    signature = sum(s for _, s in states.values())
+        # floor v
+        least += caps[v]
+        after = {}
+        for (waiting, strands, started, pool, rwait), (r, s) in states.items():
+            fewest, most = max(least - started, 0), n_edges - started
+            allowed = None if most else takes_of(pool)
+            for kept, inflow, ways in pick_strands(strands, max(k + fewest, 0), allowed):
+                if v == a - 1:
+                    r_f, s_f = finish(waiting, pool, rwait, most, inflow)
+                    rank += r * ways * r_f
+                    signature += s * ways * s_f
+                    continue
+                for weight, left, attached, fits in sub_pools(pool, rwait):
+                    out = inflow - k - weight
+                    if out < fewest:
+                        break
+                    if out and not most:
+                        continue
+                    for classes, parts, r_e, s_e in start_edges(out, fewest, most):
+                        new_waiting = tuple(sorted(waiting + classes))
+                        if started + parts == n_edges and not (
+                            sums(tuple(sorted(new_waiting + kept))) & fits
+                        ):
+                            continue  # floor v + 1 cannot take from the edges not yet ended
+                        key = (new_waiting, kept, started + parts, left, attached)
+                        old_r, old_s = after.get(key, (0, 0))
+                        after[key] = (old_r + r * ways * r_e, old_s + s * ways * s_e)
+        states = after
     return rank, signature
 
 
 def _line_free(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
     """(rank, signature) of the count of curves of genus g without bare
     horizontal lines: sum nu(D) * mult(D) over every diagram with a + g - 1
-    edges, times the end factors.
-
-    The caps and the budget S of the module docstring are set here, for
-    both engines: ``_walk`` when there are right ends, ``_sweep`` when
-    there are none.
+    edges, times the end factors.  The caps and the budget S of the module
+    docstring are set here for ``_sweep``.
     """
     n_edges = a + g - 1
     caps = [min(sum(w_left) - p * k, (a - p) * k + sum(w_right)) for p in range(a)]
     budget = sum(caps[1:]) - n_edges
     if n_edges < 0 or budget < 0:
         return 0, 0
-    # Right ends keep the walk: as edges into a floor a + 1 of the transfer,
-    # each partition of a floor's heavy out-flow is its own state (the floors
-    # benchmark batch ran 2.3x slower that way, ray 3 5.5x).
-    if w_right:
-        rank, signature = _walk(k, a, w_left, w_right, n_edges, caps, budget)
-    else:
-        rank, signature = _sweep(k, a, w_left, n_edges, budget)
+    rank, signature = _sweep(k, a, w_left, w_right, n_edges, caps, budget)
     for w in w_left + w_right:
         er, es = edge_mult(w)
         rank *= er
@@ -492,10 +429,9 @@ def floor_count(
     which have a floor and so no line.
 
     Each set of lines leaves a line-free count of the other ends
-    (``_line_free``).  Without right ends it sums every diagram at once by
-    the gap-by-gap transfer ``_sweep``; with right ends ``_walk`` counts
-    the markings of each diagram, one flow profile at a time.  Connected
-    counts follow from the line-free counts by the exponential formula.
+    (``_line_free``), which the gap-by-gap transfer ``_sweep`` sums over
+    every diagram at once.  Connected counts follow from the line-free
+    counts by the exponential formula.
     """
     w_left, w_right = tuple(w_left), tuple(w_right)
     if a < 1:

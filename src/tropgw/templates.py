@@ -14,11 +14,11 @@ number of orderings of its black vertices against the parallel weight-1
 edges inside its span.  Gap v of a template at position k carries
 m - v - c_v such short edges, m = d - k and c_v the template's own weight
 across the gap, so that number depends on m alone.  Each template folds
-its edge classes once into a table {load vector: orderings}, the one that
-``floors.count_interleavings`` sums for the floor diagrams, and the counts
-run as one transfer over (m, cogenus left), shared by every degree.  The sum
-runs on exact (rank, signature) pairs, multiplied componentwise; every end
-has weight one, so the count is p*H + q*<1>.
+its edge classes once into a table {load vector: orderings}
+(``_spread_table``), and the counts run as one transfer over (m, cogenus
+left), shared by every degree.  The sum runs on exact (rank, signature)
+pairs, multiplied componentwise; every end has weight one, so the count is
+p*H + q*<1>.
 """
 
 from __future__ import annotations
@@ -28,10 +28,46 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .floors import _spread_table, edge_mult
+from .floors import edge_mult
 from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _spread_table(num_gaps: int, classes) -> dict[tuple[int, ...], int]:
+    """{load vector: orderings} of identical-within-class items in ordered gaps.
+
+    ``classes`` lists (lo, hi, count): each class puts ``count`` identical
+    items somewhere in gaps lo..hi.  Items in one gap can be permuted
+    arbitrarily, so putting c more items of a class into a gap that holds
+    ``load`` items multiplies the orderings by C(load + c, c).  A load
+    vector maps to the orderings summed over the spreads that give it.
+    """
+    table = {(0,) * num_gaps: 1}
+    for lo, hi, count in classes:
+        if not count:
+            continue
+        grown: dict[tuple[int, ...], int] = {}
+        for loads, ways in table.items():
+            for comp in _compositions(count, hi - lo + 1):
+                new = list(loads)
+                spread = ways
+                for gap, c in enumerate(comp, lo):
+                    spread *= comb(new[gap] + c, c)
+                    new[gap] += c
+                key = tuple(new)
+                grown[key] = grown.get(key, 0) + spread
+        table = grown
+    return table
 
 
 @dataclass(frozen=True)

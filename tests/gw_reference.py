@@ -6,9 +6,10 @@ counts directly in the Grothendieck-Witt ring, with the factor formulas of
 ``curves.triangle_mult``, so that the tests compare two independently
 computed values.  Floor counts walk one diagram at a time here:
 ``enumerate_diagrams`` builds every ``FloorDiagram`` and ``count_markings``
-counts its markings, sharing only the end-attachment walker and the
-interleaving count with the package, whose own walk builds no diagram and
-whose connected counts come from the exponential formula.  The lattice
+counts its markings, with their own end-attachment walker
+(``end_attachments``) and interleaving count (``count_interleavings``).
+The package's transfer builds no diagram, and its connected counts come
+from the exponential formula.  The lattice
 paths are enumerated here by brute force, with their own boundary chains
 and point-tuple walker, and single paths are evaluated on the package's
 index tables and side walker (``walker_path_mult``, ``path_subdivisions``,
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as cartesian
-from math import prod
+from math import factorial, prod
 
 from tropgw.ch import (
     _seq_add,
@@ -38,7 +39,7 @@ from tropgw.ch import (
     weighted_partitions,
 )
 from tropgw.curves import triangle_mult
-from tropgw.floors import _attachments, count_interleavings, edge_mult
+from tropgw.floors import edge_mult
 from tropgw.gw import ONE, ZERO, GWElement, diag, gw_from_pair, hyperbolic
 from tropgw.lattice import Point, Polygon, lattice_length
 from tropgw.paths import (
@@ -377,6 +378,78 @@ def path_subdivisions(path, polygon: Polygon, tie_break: str = "ydesc"):
 Edge = tuple[int, int, int]  # (source floor, target floor, weight), source < target
 
 
+def count_interleavings(num_gaps: int, classes) -> int:
+    """Orderings of identical-within-class items in ordered gaps.
+
+    ``classes`` lists (lo, hi, count): ``count`` alike items somewhere in
+    gaps lo..hi.  Gap by gap, each class puts some of its items not yet
+    placed into the gap (all of them in its last gap), and the items of
+    one gap are ordered in (sum x)! / prod(x!) ways.
+    """
+    classes = tuple(classes)
+
+    @lru_cache(maxsize=None)
+    def fill(gap: int, left: tuple[int, ...]) -> int:
+        if gap == num_gaps:
+            return int(not any(left))
+        choices = []
+        for (lo, hi, _), n in zip(classes, left):
+            if gap < lo:
+                choices.append((0,))
+            elif gap == hi:
+                choices.append((n,))
+            else:
+                choices.append(range(n + 1))
+        total = 0
+        for xs in cartesian(*choices):
+            ways = factorial(sum(xs)) // prod(factorial(x) for x in xs)
+            total += ways * fill(gap + 1, tuple(n - x for n, x in zip(left, xs)))
+        return total
+
+    return fill(0, tuple(count for _, _, count in classes))
+
+
+def end_attachments(k: int, a: int, w_left, w_right, caps, spare: int):
+    """End attachments, floor by floor, with the flow profile they give.
+
+    Yields (profile, lefts, rights): profile[p] is the weight c_p crossing
+    the gap after floor p (profile[0] = 0), and lefts[v] and rights[v]
+    count the left and right ends of each distinct weight, in increasing
+    order, attached to floor v+1.  Every c_p satisfies 0 <= c_p <= caps[p],
+    the shortfall sum(caps[p] - c_p) stays within ``spare``, and floor a
+    takes the ends that are left.
+    """
+    n_left, n_right = Counter(w_left), Counter(w_right)
+    l_weights, r_weights = sorted(n_left), sorted(n_right)
+
+    def subsets(counts):
+        return cartesian(*(range(m + 1) for m in counts))
+
+    def walk(v, rest_l, rest_r, profile, lefts, rights, spare):
+        if v == a:
+            yield profile, lefts + (rest_l,), rights + (rest_r,)
+            return
+        for left in subsets(rest_l):
+            for right in subsets(rest_r):
+                gain = sum(w * n for w, n in zip(l_weights, left))
+                loss = sum(w * n for w, n in zip(r_weights, right))
+                c = profile[-1] - k + gain - loss
+                if 0 <= c <= caps[v] and caps[v] - c <= spare:
+                    yield from walk(
+                        v + 1,
+                        tuple(m - n for m, n in zip(rest_l, left)),
+                        tuple(m - n for m, n in zip(rest_r, right)),
+                        profile + (c,),
+                        lefts + (left,),
+                        rights + (right,),
+                        spare - caps[v] + c,
+                    )
+
+    l_counts = tuple(n_left[w] for w in l_weights)
+    r_counts = tuple(n_right[w] for w in r_weights)
+    yield from walk(1, l_counts, r_counts, (0,), (), (), spare)
+
+
 @dataclass(frozen=True)
 class FloorDiagram:
     floors: int
@@ -446,7 +519,7 @@ def count_markings(diagram: FloorDiagram, w_left, w_right, free=()) -> int:
     fixed = [(i, j - 1, m) for (i, j, w), m in Counter(diagram.edges).items()]
     fixed += [(0, a, m) for m in Counter(free).values()]
     total = 0
-    for _, lefts, rights in _attachments(diagram.k, a, w_left, w_right, flows, 0):
+    for _, lefts, rights in end_attachments(diagram.k, a, w_left, w_right, flows, 0):
         classes = list(fixed)
         for v in range(a):  # black end vertices before / after floor v+1
             classes += [(0, v, m) for m in lefts[v]]
@@ -474,7 +547,7 @@ def enumerate_diagrams(
     budget = sum(caps[1:]) - (a + g - 1)
     if a + g - 1 < 0 or budget < 0:
         return []
-    profiles = {p for p, _, _ in _attachments(k, a, w_left, w_right, caps, budget)}
+    profiles = {p for p, _, _ in end_attachments(k, a, w_left, w_right, caps, budget)}
     diagrams = []
     for profile in sorted(profiles):
         c, flow, edges = profile + (0,), [0] * (a + 1), []

@@ -270,6 +270,19 @@ def test_count_connected_with_recursion_is_an_error():
     assert proc.stderr == "error: --connected is only supported by --method floor\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "count --method ch --d 1100 --g 0",
+    "count --method latticepath --d 45 --g 900",
+])
+def test_count_deeper_than_the_recursion_limit_is_an_error(argv):
+    proc = run_cli_process(*argv.split())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: this count needs a deeper recursion than Python allows\n"
+    )
+
+
 def test_count_invalid_genus_exits_nonzero(capsys):
     code = main(["count", "--method", "latticepath", "--d", "2", "--g", "5"])
     assert code == 2
@@ -423,6 +436,14 @@ def test_warm_query_leaves_the_cache_file_alone(tmp_path):
 def test_corrupt_cache_is_ignored_and_rewritten(tmp_path):
     cache = tmp_path / "memo.json"
     cache.write_text('{"version": 3, "entries": {"3::3": [-2, [1')
+    stderr = count_cubics_with_cache(cache)
+    assert stderr.count("warning:") == 1 and "unreadable" in stderr
+
+
+def test_deeply_nested_cache_is_ignored_and_rewritten(tmp_path):
+    # the JSON decoder recurses once per nesting level
+    cache = tmp_path / "memo.json"
+    cache.write_text("[" * 100000 + "]" * 100000)
     stderr = count_cubics_with_cache(cache)
     assert stderr.count("warning:") == 1 and "unreadable" in stderr
 

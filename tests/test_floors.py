@@ -11,6 +11,7 @@ from gw_reference import (
     SimpleCurve,
     arith_mult,
     complex_mult,
+    count_interleavings,
     count_markings,
     enumerate_diagrams,
     marked_mult,
@@ -20,7 +21,6 @@ from tropgw import floors as floor_layer
 from tropgw.ch import ch_count, max_genus, weighted_partitions
 from tropgw.curves import VertexStar, vertex_mult
 from tropgw.floors import (
-    count_interleavings,
     delta_floor_count,
     edge_mult,
     floor_count,
@@ -300,6 +300,12 @@ def test_floor_vs_path_small_hirzebruch_sweep():
                     value = floor_count(k, a, wl, wr, g)
                     path = count_lattice_path(polygon, g)
                     assert gw_equal(value, path), (k, a, b, g)
+    # three floors with right ends, up to genus 3
+    for b in (1, 2, 3):
+        polygon = hirzebruch_polygon(1, 3, b)
+        for g in range(4):
+            value = floor_count(1, 3, (1,) * (3 + b), (1,) * b, g)
+            assert gw_equal(value, count_lattice_path(polygon, g)), (b, g)
 
 
 def test_count_interleavings_basics():
@@ -486,21 +492,18 @@ def test_connected_count_engine_calls(monkeypatch):
     # per configuration; splitting lines off inside the formula takes 712
     # calls here.
     calls = []
-    for name in ("_walk", "_sweep"):
-        def counted(*args, engine=getattr(floor_layer, name)):
-            calls.append(args)
-            return engine(*args)
 
-        monkeypatch.setattr(floor_layer, name, counted)
+    def counted(*args, sweep=floor_layer._sweep):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(floor_layer, "_sweep", counted)
     floor_count(*MANY_SPLITS, connected=True)
     assert 0 < len(calls) < 100
 
 
-def test_sweep_takes_calls(monkeypatch):
-    # One _takes call per transfer state and floor or gap.  The left ends
-    # share the edges' pool, so states that differ only in how a floor's
-    # pool splits into left ends and edges are one; with left ends apart
-    # these take 2,515 and 545 calls.
+def count_takes(monkeypatch, cases):
+    """The number of _takes calls of each count in ``cases``."""
     calls = []
 
     def counted(*args, takes=floor_layer._takes):
@@ -508,28 +511,38 @@ def test_sweep_takes_calls(monkeypatch):
         return takes(*args)
 
     monkeypatch.setattr(floor_layer, "_takes", counted)
-    for args, expected in [
-        ((1, 7, (1,) * 7, (), 5), 1331),
-        ((2, 4, (3, 2, 2, 1), (), 2), 330),
-    ]:
+    found = []
+    for count, args in cases:
         calls.clear()
-        floor_count(*args)
-        assert len(calls) == expected, args
+        count(*args)
+        found.append(len(calls))
+    return found
 
 
-def test_walk_spread_table_calls(monkeypatch):
-    # one spread table per sorted class list of one count: the vertex orders
-    # ignore the edge weights.  One table per edge tuple and attachment takes
-    # 54 calls.
-    calls = []
+def test_sweep_takes_calls(monkeypatch):
+    # One _takes call per transfer state and gap, and one per distinct pick
+    # of a floor's strands in one count.  The left ends share the edges'
+    # pool, so states that differ only in how a floor's pool splits into
+    # left ends and edges are one; with left ends apart these took 2,515
+    # and 545 calls.  Floor a - 1 closes the last two gaps in one sum, and
+    # with a gap a - 1 of its own and one call per floor state they took
+    # 1,331 and 330.
+    assert count_takes(monkeypatch, [
+        (floor_count, (1, 7, (1,) * 7, (), 5)),
+        (floor_count, (2, 4, (3, 2, 2, 1), (), 2)),
+    ]) == [774, 227]
 
-    def counted(*args, spread_table=floor_layer._spread_table):
-        calls.append(args)
-        return spread_table(*args)
 
-    monkeypatch.setattr(floor_layer, "_spread_table", counted)
-    hirzebruch_count(2, 3, 0, (11, 7, 1), (13,))  # ray 3 at t = 3
-    assert len(calls) == 30
+def test_sweep_takes_calls_with_right_ends(monkeypatch):
+    # Right ends join the transfer as a pool.  Ray 3 at t = 3 splits floor
+    # 1's heavy out-flow into up to two edges; a split that starts both
+    # survives only if floor 2 can then take k plus some of the pool.
+    # Repeated unit weights make many attachments of the ends, which the
+    # pool counts once per count vector.
+    assert count_takes(monkeypatch, [
+        (hirzebruch_count, (2, 3, 0, (11, 7, 1), (13,))),
+        (floor_layer._line_free, (1, 4, (1,) * 6, (1, 1), 3)),
+    ]) == [116, 394]
 
 
 def test_connected_rational_curves_are_kontsevich_and_welschinger():

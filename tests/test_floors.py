@@ -37,7 +37,7 @@ from tropgw.gw import (
 )
 from tropgw.lattice import delta_polygon, hirzebruch_polygon
 from tropgw.paths import count_lattice_path
-from tropgw.templates import severi_by_templates
+from tropgw.templates import _spread_table, severi_by_templates
 
 
 def brute_force_attachments(a, w_left, w_right):
@@ -347,6 +347,9 @@ def test_count_interleavings_against_brute_force():
             classes.pop()
         expected = brute_force_interleavings(num_gaps, classes)
         assert count_interleavings(num_gaps, classes) == expected, (num_gaps, classes)
+        # the templates' table of spreads, summed over its load vectors
+        table = _spread_table(num_gaps, classes)
+        assert sum(table.values()) == expected, (num_gaps, classes)
 
 
 def test_marking_size_invariant():

@@ -109,26 +109,27 @@ def _seq_add(a: Sequence, k: int, delta: int) -> Sequence:
     return _strip(lst)
 
 
+def _partitions(remaining: int, top: int, fewest: int, most: int):
+    # parts of size at most ``top`` make up ``remaining``
+    if remaining == 0:
+        if fewest <= 0 <= most:
+            yield ()
+        return
+    for part in range(min(remaining, top), 0, -1):
+        if remaining > part * most:  # smaller parts need even more of them
+            return
+        for n in range(min(remaining // part, most), 0, -1):
+            rest = remaining - part * n
+            if rest > (part - 1) * (most - n) or rest < fewest - n:
+                continue
+            for seq in _partitions(rest, part - 1, fewest - n, most - n):
+                yield seq + (0,) * (part - 1 - len(seq)) + (n,)
+
+
 def weighted_partitions(total: int, fewest: int = 0, most: int | None = None):
     """All trimmed sequences gamma with sum_i i*gamma_i = total and between
     ``fewest`` and ``most`` parts sum_i gamma_i (``most=None``: no bound)."""
-    def rec(remaining: int, top: int, fewest: int, most: int):
-        # parts of size at most ``top`` make up ``remaining``
-        if remaining == 0:
-            if fewest <= 0 <= most:
-                yield ()
-            return
-        for part in range(min(remaining, top), 0, -1):
-            if remaining > part * most:  # smaller parts need even more of them
-                return
-            for n in range(min(remaining // part, most), 0, -1):
-                rest = remaining - part * n
-                if rest > (part - 1) * (most - n) or rest < fewest - n:
-                    continue
-                for seq in rec(rest, part - 1, fewest - n, most - n):
-                    yield seq + (0,) * (part - 1 - len(seq)) + (n,)
-
-    yield from rec(total, total, fewest, total if most is None else most)
+    return _partitions(total, total, fewest, total if most is None else most)
 
 
 _memo: dict = {}

@@ -407,7 +407,10 @@ def _connected(k: int, a: int, w_left, w_right, g: int) -> tuple[int, int]:
         connected[key] = rank, signature
         return connected[key]
 
-    return conn(a, tuple(sorted(w_left)), tuple(sorted(w_right)), g)
+    try:
+        return conn(a, tuple(sorted(w_left)), tuple(sorted(w_right)), g)
+    finally:
+        conn = None  # the closure refers to itself through this cell
 
 
 def floor_count(

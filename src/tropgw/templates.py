@@ -13,12 +13,12 @@ Per placement the template contributes its squared edge factors and the
 number of orderings of its black vertices against the parallel weight-1
 edges inside its span.  Gap v of a template at position k carries
 m - v - c_v such short edges, m = d - k and c_v the template's own weight
-across the gap, so that number depends on m alone.  Each template folds
-its edge classes once into a table {load vector: orderings}
-(``_spread_table``), and the counts run as one transfer over (m, cogenus
-left), shared by every degree.  The sum runs on exact (rank, signature)
-pairs, multiplied componentwise; every end has weight one, so the count is
-p*H + q*<1>.
+across the gap, so that number depends on m alone.  One gap-by-gap fill
+per template gives it for every m at once (``_orderings``), templates of
+one (cogenus, length) share one row, and the counts run as one transfer
+over (m, cogenus left), shared by every degree.  The sum runs on exact
+(rank, signature) pairs, multiplied componentwise; every end has weight
+one, so the count is p*H + q*<1>.
 """
 
 from __future__ import annotations
@@ -26,48 +26,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
+from operator import sub
 
-from .floors import edge_mult
+from .floors import _orders, edge_mult
 from .gw import GWElement, gw_from_pair
 
 Edge = tuple[int, int, int]
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _spread_table(num_gaps: int, classes) -> dict[tuple[int, ...], int]:
-    """{load vector: orderings} of identical-within-class items in ordered gaps.
-
-    ``classes`` lists (lo, hi, count): each class puts ``count`` identical
-    items somewhere in gaps lo..hi.  Items in one gap can be permuted
-    arbitrarily, so putting c more items of a class into a gap that holds
-    ``load`` items multiplies the orderings by C(load + c, c).  A load
-    vector maps to the orderings summed over the spreads that give it.
-    """
-    table = {(0,) * num_gaps: 1}
-    for lo, hi, count in classes:
-        if not count:
-            continue
-        grown: dict[tuple[int, ...], int] = {}
-        for loads, ways in table.items():
-            for comp in _compositions(count, hi - lo + 1):
-                new = list(loads)
-                spread = ways
-                for gap, c in enumerate(comp, lo):
-                    spread *= comb(new[gap] + c, c)
-                    new[gap] += c
-                key = tuple(new)
-                grown[key] = grown.get(key, 0) + spread
-        table = grown
-    return table
 
 
 @dataclass(frozen=True)
@@ -133,9 +99,11 @@ def enumerate_templates(delta: int) -> tuple[Template, ...]:
                     edges.pop()
 
         pick(0, reach, budget)
+        pick = None  # each closure refers to itself through its cell
 
     if delta >= 1:
         extend(0, 0, delta)
+    extend = None
     return tuple(sorted(out, key=lambda t: (t.cogenus, t.length, t.edges)))
 
 
@@ -155,73 +123,100 @@ def _crossings(t: Template) -> list[int]:
     ]
 
 
+def _orderings(t: Template, top: int) -> list[int]:
+    """[N_t(m) for m in range(top + 1)]: the orderings of the template's
+    black vertices with the short edges of its gaps at flow m.
+
+    Gap v carries s_v = m - v - c_v short edges, so N_t(m) = 0 below
+    m_min = max(length, v + c_v).  One fill runs gap by gap for every m
+    at once.  Identical edges (i, j, w) are one class of alike black
+    vertices in gaps i..j-1; a state is the number each class has left to
+    place, its value a vector over m.  In gap v each open class places
+    some of its vertices, all of them in its last gap: L in all, ordered
+    in ``_orders`` ways and merged with the short edges in C(L + s_v, L)
+    ways.  States that differ only in closed gaps are one entry.
+    """
+    crossings = _crossings(t)
+    m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
+    if m_min > top:
+        return [0] * (top + 1)
+    flows = range(m_min, top + 1)
+    classes = Counter(t.edges)
+    spans = [(i, j - 1) for i, j, _ in classes]
+    states = {tuple(classes.values()): [1] * len(flows)}
+    zeros = [0] * len(flows)
+    for v, c in enumerate(crossings):
+        grown = {}
+        merges = {}  # load L: C(L + s_v, L) by m
+        for left, vector in states.items():
+            choices = [
+                (0,) if v < lo else (n,) if v == hi else range(n + 1)
+                for (lo, hi), n in zip(spans, left)
+            ]
+            for xs in product(*choices):
+                load = sum(xs)
+                if load not in merges:
+                    merges[load] = [comb(load + m - v - c, load) for m in flows]
+                ways = _orders(xs)
+                key = tuple(map(sub, left, xs))
+                old = grown.get(key, zeros)
+                grown[key] = [
+                    o + ways * b * x for o, b, x in zip(old, merges[load], vector)
+                ]
+        states = grown
+    return [0] * m_min + states[(0,) * len(spans)]
+
+
 def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
     """(rank, signature) of the delta-node count for each degree.
 
     A template at position k of a degree-d diagram leaves m = d - k of
-    flow, and its orderings with the short edges number
-
-        N_t(m) = sum over loads L of ways(L) * prod_v C(L_v + s_v, L_v),
-
-    s_v = m - v - c_v >= 0 short edges in gap v; so m >= m_min(t) =
-    max(length, v + c_v).  H[e][m] sums the sequences of total cogenus e
-    whose first template starts at flow m or below, each weighted by its
-    orderings and squared edge factors:
+    flow and has N_t(m) orderings with the short edges (``_orderings``).
+    Templates of one (cogenus, length) enter the sums alike, so they share
+    one row, with N_t(m) * mult_t^2 summed over them.  H[e][m] sums the
+    sequences of total cogenus e whose first template starts at flow m or
+    below, each weighted by its orderings and squared edge factors:
 
         H[e][m] = H[e][m-1] + sum_t N_t(m) * mult_t^2 * H[e - cog_t][m - len_t]
 
     with H[0][m] = (1, 1).  Vertex 0 of a diagram has only weight-1
     outgoing edges, so a template with a heavier edge out of its vertex 0
-    may not start at k = 0, m = d; the count of degree d is H[delta][d]
-    less those placements.
+    may not start at k = 0, m = d; its rows are kept apart, and the count
+    of degree d is H[delta][d] less those placements.
     """
     top = max(degrees)
-    rows = []  # (cogenus, length, m_min, barred from k = 0, mult^2, N_t by m)
+    rows = {}  # (cogenus, length, barred from k = 0) -> (ranks by m, signatures by m)
+    zeros = [0] * (top + 1)
     for t in enumerate_templates(delta):
-        crossings = _crossings(t)
-        m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
-        if m_min > top:
-            continue
-        # identical edges (i, j, w) are one class of black vertices in gaps i..j-1
-        classes = [(i, j - 1, n) for (i, j, _), n in Counter(t.edges).items()]
-        table = _spread_table(t.length, classes).items()
-        orderings = [0] * (top + 1)
-        for m in range(m_min, top + 1):
-            shorts = [m - v - c for v, c in enumerate(crossings)]
-            total = 0
-            for loads, ways in table:
-                for load, s in zip(loads, shorts):
-                    if load:
-                        ways *= comb(load + s, load)
-                total += ways
-            orderings[m] = total
         rank, signature = template_mult(t)
-        rows.append((
-            t.cogenus, t.length, m_min,
-            any(i == 0 and w > 1 for i, _, w in t.edges),
-            (rank * rank, signature * signature), orderings,
-        ))
+        r2, s2 = rank * rank, signature * signature
+        key = (t.cogenus, t.length, any(i == 0 and w > 1 for i, _, w in t.edges))
+        orderings = _orderings(t, top)
+        ranks, signatures = rows.get(key, (zeros, zeros))
+        rows[key] = (
+            [r + n * r2 for r, n in zip(ranks, orderings)],
+            [s + n * s2 for s, n in zip(signatures, orderings)],
+        )
     H = [[(1, 1)] * (top + 1)]
     for e in range(1, delta + 1):
         row = [(0, 0)] * (top + 1)
         rank = signature = 0
         for m in range(top + 1):
-            for cog, length, m_min, _, (r2, s2), orderings in rows:
-                if cog <= e and m_min <= m:
+            for (cog, length, _), (ranks, signatures) in rows.items():
+                if cog <= e and length <= m:
                     below_rank, below_signature = H[e - cog][m - length]
-                    n = orderings[m]
-                    rank += n * r2 * below_rank
-                    signature += n * s2 * below_signature
+                    rank += ranks[m] * below_rank
+                    signature += signatures[m] * below_signature
             row[m] = (rank, signature)
         H.append(row)
     out = {}
     for d in degrees:
         rank, signature = H[delta][d]
-        for cog, length, m_min, heavy_start, (r2, s2), orderings in rows:
-            if heavy_start and m_min <= d:
+        for (cog, length, heavy_start), (ranks, signatures) in rows.items():
+            if heavy_start and length <= d:
                 below_rank, below_signature = H[delta - cog][d - length]
-                rank -= orderings[d] * r2 * below_rank
-                signature -= orderings[d] * s2 * below_signature
+                rank -= ranks[d] * below_rank
+                signature -= signatures[d] * below_signature
         out[d] = (rank, signature)
     return out
 

@@ -1,13 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import gw_reference as ref
+from tropgw import templates as template_layer
 from tropgw.floors import severi_count
 from tropgw.gw import ONE, gw_equal, hyperbolic, render
 from tropgw.templates import (
     FitError,
     Template,
+    _orderings,
     enumerate_templates,
     fit_node_polynomial,
     poly_degree,
@@ -165,6 +168,39 @@ def test_rank_specialization():
             assert gw_equal(value, expected), (d, delta)
             assert value.rank == expected.rank
             assert value.signature == expected.signature
+
+
+def test_orderings_match_reference_interleavings():
+    # The fill's N_t(m) against the reference's gap-by-gap interleavings,
+    # with the short edges of gap v as one class of its own.
+    checked = 0
+    for t in enumerate_templates(4):
+        classes = [(i, j - 1, n) for (i, j, _), n in Counter(t.edges).items()]
+        crossings = [
+            sum(w for i, j, w in t.edges if i <= v < j) for v in range(t.length)
+        ]
+        m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
+        orderings = _orderings(t, m_min + 3)
+        assert orderings[:m_min] == [0] * m_min, t
+        for m in range(m_min, m_min + 4):
+            shorts = [(v, v, m - v - c) for v, c in enumerate(crossings)]
+            expected = ref.count_interleavings(t.length, classes + shorts)
+            assert orderings[m] == expected, (t, m)
+            checked += 1
+    assert checked == 548
+
+
+def test_orderings_orders_calls(monkeypatch):
+    # One _orders call per fill state and choice of its gap's placements.
+    calls = []
+
+    def counted(sizes, orders=template_layer._orders):
+        calls.append(sizes)
+        return orders(sizes)
+
+    monkeypatch.setattr(template_layer, "_orders", counted)
+    fit_node_polynomial(5)
+    assert len(calls) == 6632
 
 
 def test_four_nodes_match_reference():

@@ -29,11 +29,13 @@ genus g_lo + i, so a term is one multiply, shift and add on each (none on
 S when the term has an even weight, whose signature factor is 0).  Every
 rank is >= 0 and |s_i| <= r_i, so the slots decode exactly while the total
 T = sum r_i, which the terms carry as sum factor * T(child), stays below
-2^(W-1).  An entry whose total reaches it is not stored: the width W
-doubles, the packed entries go back to (g_lo, ranks, signatures) tuples,
-the form a cache loads and ``memo_snapshot`` returns, and the count reruns.
-A tuple entry is packed the first time ``_ch`` reads it, as a child or as
-the key ``ch_count`` asks for.
+2^(W-1).  The width W belongs to one count: each starts at ``_WIDTH`` bits
+and, when an entry's total reaches the bound, doubles W and reruns.  An
+entry records the width it is packed at, and a count that reads an entry
+of another width, or a (g_lo, ranks, signatures) tuple as a cache loads
+it, repacks it at its own width and stores it back.  A parent's total is
+at least each child's, so a child that does not fit means the count needs
+a wider W anyway.
 
 What a term needs besides the child's counts depends on less than the
 memo key, so it is built once per process: the floors of one
@@ -47,10 +49,10 @@ sequence has no negative entry and no trailing zero; the recursion
 receives canonical tuples and builds only canonical tuples, so every memo
 key is canonical.
 
-The memo table is keyed by (d, alpha, beta).  Evaluation is
-single-threaded: a widening rewrites every memo entry and changes the
-width for the whole process.  Merging tuple entries through ``memo_load``
-is safe, since every insertion for a key writes the same counts.
+The memo table, keyed by (d, alpha, beta), is the only state a count
+leaves behind besides those caches, and evaluation is single-threaded.
+Merging tuple entries through ``memo_load`` is safe, since every insertion
+for a key writes the same counts.
 """
 
 from __future__ import annotations
@@ -95,14 +97,6 @@ def seq_stats(a) -> tuple[int, int, int]:
     return size, weighted, power
 
 
-def seq_binom(a, b) -> int:
-    """Entrywise product of binomial coefficients; 0 when b exceeds a."""
-    a, b = trim(a), trim(b)
-    if len(b) > len(a):
-        return 0
-    return prod(comb(x, y) for x, y in zip(a, b + (0,) * (len(a) - len(b))))
-
-
 def _seq_add(a: Sequence, k: int, delta: int) -> Sequence:
     lst = list(a) + [0] * max(0, k - len(a))
     lst[k - 1] += delta
@@ -133,7 +127,7 @@ def weighted_partitions(total: int, fewest: int = 0, most: int | None = None):
 
 
 _memo: dict = {}
-_width = 80  # bits per genus slot; every entry of degree <= 9 fits
+_WIDTH = 80  # bits per genus slot a count starts at; every entry of degree <= 9 fits
 
 
 def max_genus(d: int) -> int:
@@ -161,12 +155,12 @@ def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
     alpha = trim(alpha)
     beta = trim(beta) if beta is not None else (d,)
     check_key(d, alpha, beta)
-    g_lo, ranks, signatures, _ = _counts(d, alpha, beta)
+    g_lo, ranks, signatures, _, width = _counts(d, alpha, beta)
     i = g - g_lo
     if i < 0:
         pair = (0, 0)
     else:
-        mask, at = (1 << _width) - 1, _width * i
+        mask, at = (1 << width) - 1, width * i
         rank = (ranks >> at) & mask
         pair = (rank, ((ranks + signatures >> at) & mask) - rank)
     free_weights = [w for w, n in enumerate(beta, start=1) for _ in range(n)]
@@ -210,48 +204,50 @@ class _Overflow(Exception):
     Raised out of the recursion, to ``_counts``."""
 
 
-def _pack(values) -> int:
+def _pack(values, width: int) -> int:
     """Sum of values[i] * 2^(width * i)."""
-    return sum(v << (_width * i) for i, v in enumerate(values))
+    return sum(v << (width * i) for i, v in enumerate(values))
 
 
 def _unpack(entry: tuple) -> tuple[int, Sequence, Sequence]:
     """(g_lo, ranks, signatures) of a packed entry, zero ends trimmed."""
-    g_lo, ranks, signatures, _ = entry
-    mask = (1 << _width) - 1
-    slots = range(0, ranks.bit_length(), _width)
+    g_lo, ranks, signatures, _, width = entry
+    mask = (1 << width) - 1
+    slots = range(0, ranks.bit_length(), width)
     r = tuple((ranks >> at) & mask for at in slots)
     both = ranks + signatures  # slot i holds r_i + s_i, from 0 to 2 r_i
     return g_lo, r, tuple(((both >> at) & mask) - r_i for at, r_i in zip(slots, r))
 
 
-def _pack_entry(key: tuple, entry: tuple) -> tuple:
-    """Pack the tuple entry of ``key`` (as the cache loads it) in the memo."""
-    g_lo, ranks, signatures = entry
+def _repack(key: tuple, entry: tuple, width: int) -> tuple:
+    """Store the entry of ``key``, a cache tuple or packed at another width,
+    packed at ``width``; _Overflow if its total does not fit."""
+    g_lo, ranks, signatures = entry if len(entry) == 3 else _unpack(entry)
     total = sum(ranks)
-    if total >> (_width - 1):
+    if total >> (width - 1):
         raise _Overflow
-    entry = _memo[key] = (g_lo, _pack(ranks), _pack(signatures), total)
+    entry = _memo[key] = (g_lo, _pack(ranks, width), _pack(signatures, width), total, width)
     return entry
 
 
-def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
-    """Counts at every genus, packed: (g_lo, R, S, T) with R and S holding
-    the rank and signature at genus g_lo + i in slot i, T the sum of the
-    ranks, and slot 0 the lowest nonzero rank."""
+def _ch(d: int, alpha: Sequence, beta: Sequence, width: int) -> tuple:
+    """Counts at every genus, packed at ``width`` bits per slot:
+    (g_lo, R, S, T, width) with R and S holding the rank and signature at
+    genus g_lo + i in slot i, T the sum of the ranks, and slot 0 the lowest
+    nonzero rank."""
     if d == 1:
-        return 0, 1, 1, 1
+        return 0, 1, 1, 1, width
     key = (d, alpha, beta)
     cached = _memo.get(key)
     if cached is not None:
-        return cached if len(cached) == 4 else _pack_entry(key, cached)
-    width = _width
+        # a cache tuple ends in its signatures, never equal to a width
+        return cached if cached[-1] == width else _repack(key, cached, width)
     g_lo = genus_floor(d, beta)
     ranks = signatures = total = 0
     for k, bk in enumerate(beta, start=1):
         if bk:
-            c_lo, c_ranks, c_signatures, c_total = _ch(
-                d, _seq_add(alpha, k, 1), _seq_add(beta, k, -1)
+            c_lo, c_ranks, c_signatures, c_total, _ = _ch(
+                d, _seq_add(alpha, k, 1), _seq_add(beta, k, -1), width
             )
             at = width * (c_lo - g_lo)
             ranks += c_ranks * k << at
@@ -262,7 +258,9 @@ def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
     for ia_p, alpha_p, binom_alpha in _sub_alphas(alpha):
         if ia_p <= top:
             for shift, beta_p, rf, sf in _floor_terms(d, beta, top - ia_p):
-                c_lo, c_ranks, c_signatures, c_total = _ch(d - 1, alpha_p, beta_p)
+                c_lo, c_ranks, c_signatures, c_total, _ = _ch(
+                    d - 1, alpha_p, beta_p, width
+                )
                 at = width * (c_lo + shift - g_lo)
                 rank_factor = binom_alpha * rf
                 ranks += c_ranks * rank_factor << at
@@ -276,37 +274,30 @@ def _ch(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
         g_lo += low
         ranks >>= width * low
         signatures >>= width * low  # |s_i| <= r_i: these slots are 0 too
-    value = _memo[key] = (g_lo, ranks, signatures, total)
+    value = _memo[key] = (g_lo, ranks, signatures, total, width)
     return value
 
 
-def _unpack_memo() -> None:
-    """Turn every packed memo entry back into a tuple entry, in place."""
-    for key, entry in _memo.items():
-        if len(entry) == 4:
-            _memo[key] = _unpack(entry)
-
-
-def _counts(d: int, alpha: Sequence, beta: Sequence) -> tuple[int, int, int, int]:
-    """The packed entry of (d, alpha, beta), computed if missing.  When a
-    total outgrows the slot width, every packed entry goes back to tuples
-    (to be packed again when used), the width doubles and the recursion
-    reruns."""
-    global _width
+def _counts(d: int, alpha: Sequence, beta: Sequence) -> tuple:
+    """The entry of (d, alpha, beta), computed if missing, packed at the
+    narrowest width in _WIDTH, 2 _WIDTH, 4 _WIDTH, ... that it fits: the
+    count reruns at twice the width while a total outgrows it.  Entries of
+    the failed runs stay in the memo, at the width they fit."""
+    width = _WIDTH
     while True:
         try:
-            return _ch(d, alpha, beta)
+            return _ch(d, alpha, beta, width)
         except _Overflow:
-            _unpack_memo()
-            _width *= 2
+            width *= 2
 
 
 def memo_snapshot() -> dict:
-    """Copy of the memo table, (d, alpha, beta) -> (g_lo, ranks, signatures).
-    Packed entries are unpacked in place first, so the table is never held
-    in both forms; the recursion packs them again as it uses them."""
-    _unpack_memo()
-    return dict(_memo)
+    """Copy of the memo table, (d, alpha, beta) -> (g_lo, ranks, signatures),
+    the form ``memo_load`` takes; the table itself is left as it is."""
+    return {
+        key: entry if len(entry) == 3 else _unpack(entry)
+        for key, entry in _memo.items()
+    }
 
 
 def memo_size() -> int:

@@ -130,21 +130,25 @@ def resolve_wall(star: VertexStar) -> tuple[GWElement, GWElement]:
     return left, right_sum
 
 
-def random_star(rng, max_entry: int = 7, max_weight: int = 5) -> VertexStar | None:
+_STAR_ENTRY = 7  # bound on each coordinate of a primitive direction
+_STAR_WEIGHT = 5  # bound on each weight
+
+
+def random_star(rng) -> VertexStar | None:
     """Random balanced 4-valent star, or None when the draw degenerates."""
     vecs = []
     for _ in range(3):
         d = (0, 0)
         while d == (0, 0):
-            d = (rng.randint(-max_entry, max_entry), rng.randint(-max_entry, max_entry))
+            d = tuple(rng.randint(-_STAR_ENTRY, _STAR_ENTRY) for _ in range(2))
         d, _ = primitive(d)
-        w = rng.randint(1, max_weight)
+        w = rng.randint(1, _STAR_WEIGHT)
         vecs.append((w * d[0], w * d[1]))
     last = (-sum(v[0] for v in vecs), -sum(v[1] for v in vecs))
     if last == (0, 0):
         return None
     d4, w4 = primitive(last)
-    if max(abs(d4[0]), abs(d4[1])) > max_entry or w4 > max_weight:
+    if max(abs(d4[0]), abs(d4[1])) > _STAR_ENTRY or w4 > _STAR_WEIGHT:
         return None
     star = VertexStar.from_vectors(vecs + [last])
     try:

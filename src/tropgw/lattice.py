@@ -85,9 +85,6 @@ class Polygon:
     def interior_count(self) -> int:
         return (self.area2 - self.num_boundary_points() + 2) // 2
 
-    def contains(self, pt: Point) -> bool:
-        return _inside(self.edges(), pt)
-
     def lattice_points(self) -> list[Point]:
         edges = self.edges()
         xs = [v[0] for v in self.vertices]

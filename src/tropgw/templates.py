@@ -277,7 +277,8 @@ def poly_degree(coeffs) -> int:
     return -1 if coeffs == (Fraction(0),) else len(coeffs) - 1
 
 
-def poly_str(coeffs, var: str = "d") -> str:
+def poly_str(coeffs) -> str:
+    """The polynomial in d with these coefficients, highest power first."""
     terms = []
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
@@ -293,9 +294,9 @@ def poly_str(coeffs, var: str = "d") -> str:
         if power == 0:
             part = str(mag)
         elif power == 1:
-            part = f"{body}{var}"
+            part = f"{body}d"
         else:
-            part = f"{body}{var}^{power}"
+            part = f"{body}d^{power}"
         terms.append(("- " if c < 0 else "+ ") + part)
     if not terms:
         return "0"

@@ -28,12 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as cartesian
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from tropgw.ch import (
     _seq_add,
     max_genus,
-    seq_binom,
     seq_stats,
     trim,
     weighted_partitions,
@@ -68,6 +67,14 @@ def product(factors) -> GWElement:
 # -- Caporaso-Harris recursion ---------------------------------------------
 
 _ch_memo: dict = {}
+
+
+def seq_binom(a, b) -> int:
+    """Entrywise product of binomial coefficients; 0 when b exceeds a."""
+    a, b = trim(a), trim(b)
+    if len(b) > len(a):
+        return 0
+    return prod(comb(x, y) for x, y in zip(a, b + (0,) * (len(a) - len(b))))
 
 
 def ch_count(d: int, g: int, alpha=(), beta=None) -> GWElement:
@@ -242,6 +249,12 @@ def _cross(a, b, c) -> int:
     return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
 
 
+def polygon_contains(polygon: Polygon, pt: Point) -> bool:
+    """Whether pt lies in the polygon: on no edge's outer side, the vertices
+    running counterclockwise."""
+    return all(_cross(p, q, pt) >= 0 for p, q in polygon.edges())
+
+
 def _sorted_points(polygon, tie_break):
     return sorted(polygon.lattice_points(), key=lambda p: lambda_key(p, tie_break))
 
@@ -281,7 +294,7 @@ def _side(path, side, polygon, chain, memo) -> GWElement:
                 path[:j] + path[j + 1:], side, polygon, chain, memo
             )
             reflected = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-            if polygon.contains(reflected):
+            if polygon_contains(polygon, reflected):
                 shifted = path[:j] + (reflected,) + path[j + 1:]
                 value = value + _side(shifted, side, polygon, chain, memo)
             break

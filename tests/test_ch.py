@@ -8,10 +8,10 @@ import pytest
 
 import gw_reference as ref
 import tropgw
+from tropgw import ch
 from tropgw.ch import (
     ch_count,
     max_genus,
-    seq_binom,
     seq_stats,
     trim,
     weighted_partitions,
@@ -29,10 +29,10 @@ def test_seq_stats_examples():
 
 
 def test_seq_binom_examples():
-    assert seq_binom((2,), (1,)) == 2
-    assert seq_binom((1, 1), (1, 1)) == 1
-    assert seq_binom((1,), (2,)) == 0
-    assert seq_binom((3, 2), (1,)) == 3
+    assert ref.seq_binom((2,), (1,)) == 2
+    assert ref.seq_binom((1, 1), (1, 1)) == 1
+    assert ref.seq_binom((1,), (2,)) == 0
+    assert ref.seq_binom((3, 2), (1,)) == 3
 
 
 def partitions_by_brute_force(total: int) -> set:
@@ -213,10 +213,11 @@ def test_floor_terms_built_once():
 
 
 def test_slot_width_grows_until_every_count_decodes():
-    # from 3 bits per genus slot the width doubles four times on the way to
-    # d = 6; a cache's tuples, packed when first used, widen it the same way
+    # from 3 bits per genus slot the widths double four times on the way to
+    # d = 6; a cache's tuples, packed when first used, widen a count the same
+    # way
     out = run_fresh(
-        "ch._width = 3\n"
+        "ch._WIDTH = 3\n"
         "pairs = []\n"
         "for d in range(1, 7):\n"
         "    for ia in range(d + 1):\n"
@@ -225,14 +226,13 @@ def test_slot_width_grows_until_every_count_decodes():
         "                for g in range(1 - 3 * d, ch.max_genus(d) + 2):\n"
         "                    value = ch.ch_count(d, g, alpha, beta)\n"
         "                    pairs.append((value.rank, value.signature))\n"
-        "print(ch._width)\n"
+        "print(max(entry[-1] for entry in ch._memo.values()))\n"
         "print(pairs)\n"
         "snapshot = ch.memo_snapshot()\n"
         "ch._memo.clear()\n"
-        "ch._width = 3\n"
         "ch.memo_load(snapshot)\n"
         "value = ch.ch_count(7, 0)\n"
-        "print(ch._width, value.rank, value.signature)\n"
+        "print(ch._memo[7, (), (7,)][-1], value.rank, value.signature)\n"
     )
     width, pairs, reloaded = out.splitlines()
     assert int(width) == 48
@@ -248,3 +248,26 @@ def test_slot_width_grows_until_every_count_decodes():
     value = ch_count(7, 0)
     width, rank, signature = map(int, reloaded.split())
     assert width > 3 and (rank, signature) == (value.rank, value.signature)
+
+
+def test_a_wide_count_leaves_later_counts_narrow():
+    # ch_count(10, 0) needs 160-bit slots; the d <= 9 entries counted after
+    # it are packed at 80 bits again, as in a process that never widened
+    out = run_fresh(
+        "def bits():\n"
+        "    return sum(e[1].bit_length() + e[2].bit_length() for e in ch._memo.values())\n"
+        "ch.ch_count(9, 0); print(bits()); ch._memo.clear()\n"
+        "ch.ch_count(10, 0); ch._memo.clear()\n"
+        "ch.ch_count(9, 0); print(bits())\n"
+    )
+    first, again = out.split()
+    assert again == first
+
+
+def test_memo_snapshot_leaves_the_memo_as_it_is():
+    ch_count(5, 0)  # a packed entry, whatever ran before
+    ch.memo_load({(2, (), (2,)): (-1, (3, 1), (3, 1))})  # a cache tuple
+    before = dict(ch._memo)
+    snapshot = ch.memo_snapshot()
+    assert ch._memo == before
+    assert snapshot[2, (), (2,)] == (-1, (3, 1), (3, 1))

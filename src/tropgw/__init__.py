@@ -2,5 +2,5 @@
 
 Three mutually cross-validating pipelines compute the same counts: the
 lattice path algorithm, a Caporaso-Harris style recursion, and floor
-diagram / template enumeration.  All arithmetic is exact.
+diagrams and templates.  All arithmetic is exact.
 """

@@ -306,8 +306,6 @@ def cmd_crosscheck(args) -> int:
 def cmd_nodepoly(args) -> int:
     from . import templates
 
-    if args.delta > args.max_delta:
-        _reject(f"delta {args.delta} above the configured budget {args.max_delta}")
     fit = templates.fit_node_polynomial(args.delta, n_holdout=args.holdout)
     if args.format == "json":
         print(
@@ -403,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     poly = sub.add_parser("nodepoly", help="fit node polynomials")
     poly.add_argument("--delta", type=int, required=True)
-    poly.add_argument("--max-delta", type=int, default=6)
     poly.add_argument("--holdout", type=int, default=2)
     poly.add_argument("--format", default="plain", choices=("plain", "json", "csv"))
     poly.set_defaults(func=cmd_nodepoly)

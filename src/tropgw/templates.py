@@ -13,167 +13,126 @@ Per placement the template contributes its squared edge factors and the
 number of orderings of its black vertices against the parallel weight-1
 edges inside its span.  Gap v of a template at position k carries
 m - v - c_v such short edges, m = d - k and c_v the template's own weight
-across the gap, so that number depends on m alone.  One gap-by-gap fill
-per template gives it for every m at once (``_orderings``), templates of
-one (cogenus, length) share one row, and the counts run as one transfer
-over (m, cogenus left), shared by every degree.  The sum runs on exact
-(rank, signature) pairs, multiplied componentwise; every end has weight
-one, so the count is p*H + q*<1>.
+across the gap, so that number depends on m alone.  No template is
+built: one transfer over the vertices gives, for every m at once, the sum
+over the templates of one (cogenus, length) as one row (``_rows``), and
+the counts run as a second transfer over (m, cogenus left), shared by
+every degree.  The sums run on exact (rank, signature) pairs, multiplied
+componentwise; every end has weight one, so the count is p*H + q*<1>.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import sub
 
 from .floors import _orders, edge_mult
 from .gw import GWElement, gw_from_pair
 
-Edge = tuple[int, int, int]
 
-
-@dataclass(frozen=True)
-class Template:
-    length: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if not self.edges:
-            raise ValueError("a template has at least one edge")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        for i, j, w in self.edges:
-            if not (0 <= i < j <= self.length) or w < 1:
-                raise ValueError(f"bad template edge {(i, j, w)}")
-            if j - i == 1 and w == 1:
-                raise ValueError("templates contain no short edges")
-        touched_lo = min(i for i, _, _ in self.edges)
-        touched_hi = max(j for _, j, _ in self.edges)
-        if touched_lo != 0 or touched_hi != self.length:
-            raise ValueError("template endpoints must carry edges")
-        for v in range(1, self.length):
-            if not any(i < v < j for i, j, _ in self.edges):
-                raise ValueError(f"template has a gap at vertex {v}")
-
-    @property
-    def cogenus(self) -> int:
-        return sum((j - i) * w - 1 for i, j, w in self.edges)
-
-
-def enumerate_templates(delta: int) -> tuple[Template, ...]:
-    """All templates of cogenus between 1 and delta, ordered by
-    (cogenus, length, edges).
-
-    Blocks grow vertex by vertex: each vertex takes a multiset of outgoing
-    edges, each costing (j-i)*w - 1 >= 1 of the budget, and the block ends
-    at the first vertex past 0 that no edge bypasses.  Edges come in sorted
-    order, so every template is built once.
-    """
-    out = []
-    edges: list[Edge] = []
-
-    def extend(v: int, reach: int, budget: int):
-        # every edge out of 0..v-1 is chosen; reach is their farthest target
-        if v and reach == v:
-            out.append(Template(v, tuple(edges)))
-            return
-        candidates = [
-            (v, j, w)
-            for j in range(v + 1, v + budget + 2)
-            for w in range(1, (budget + 1) // (j - v) + 1)
-            if (j - v, w) != (1, 1)
-        ]
-
-        def pick(start: int, reach: int, budget: int):
-            if reach > v:
-                extend(v + 1, reach, budget)
-            for idx in range(start, len(candidates)):
-                edge = candidates[idx]
-                cost = (edge[1] - v) * edge[2] - 1
-                if cost <= budget:
-                    edges.append(edge)
-                    pick(idx, max(reach, edge[1]), budget - cost)
-                    edges.pop()
-
-        pick(0, reach, budget)
-        pick = None  # each closure refers to itself through its cell
-
-    if delta >= 1:
-        extend(0, 0, delta)
-    extend = None
-    return tuple(sorted(out, key=lambda t: (t.cogenus, t.length, t.edges)))
-
-
-def template_mult(t: Template) -> tuple[int, int]:
-    """(rank, signature) of the product of the per-edge factors."""
-    rank = signature = 1
-    for _, _, w in t.edges:
-        r, s = edge_mult(w)
-        rank *= r
-        signature *= s
-    return rank, signature
-
-
-def _crossings(t: Template) -> list[int]:
-    return [
-        sum(w for i, j, w in t.edges if i <= v < j) for v in range(t.length)
-    ]
-
-
-def _orderings(t: Template, top: int) -> list[int]:
-    """[N_t(m) for m in range(top + 1)]: the orderings of the template's
-    black vertices with the short edges of its gaps at flow m.
-
-    Gap v carries s_v = m - v - c_v short edges, so N_t(m) = 0 below
-    m_min = max(length, v + c_v).  One fill runs gap by gap for every m
-    at once.  Identical edges (i, j, w) are one class of alike black
-    vertices in gaps i..j-1; a state is the number each class has left to
-    place, its value a vector over m.  In gap v each open class places
-    some of its vertices, all of them in its last gap: L in all, ordered
-    in ``_orders`` ways and merged with the short edges in C(L + s_v, L)
-    ways.  States that differ only in closed gaps are one entry.
-    """
-    crossings = _crossings(t)
-    m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
-    if m_min > top:
-        return [0] * (top + 1)
-    flows = range(m_min, top + 1)
-    classes = Counter(t.edges)
-    spans = [(i, j - 1) for i, j, _ in classes]
-    states = {tuple(classes.values()): [1] * len(flows)}
-    zeros = [0] * len(flows)
-    for v, c in enumerate(crossings):
-        grown = {}
-        merges = {}  # load L: C(L + s_v, L) by m
-        for left, vector in states.items():
-            choices = [
-                (0,) if v < lo else (n,) if v == hi else range(n + 1)
-                for (lo, hi), n in zip(spans, left)
+def _vertex_edges(delta: int) -> list:
+    """Every multiset of out-edges that one vertex can take within cogenus
+    delta, the empty one first: (edges, cost, far, heavy, rank, signature).
+    ``edges`` lists (s, w, n), n edges of weight w to the vertex s places
+    on, each costing s*w - 1 (the short edge s = w = 1 is no template
+    edge).  far is the largest s, heavy tells whether some w > 1, and rank
+    and signature are the product of the squared edge factors."""
+    options = [((), 0, 0, False, 1, 1)]
+    for s in range(1, delta + 2):
+        for w in range(2 if s == 1 else 1, (delta + 1) // s + 1):
+            cost, (r, g) = s * w - 1, edge_mult(w)
+            options += [
+                (edges + ((s, w, n),), spent + n * cost, s, heavy or w > 1,
+                 rank * r ** (2 * n), signature * g ** (2 * n))
+                for edges, spent, _, heavy, rank, signature in options
+                for n in range(1, (delta - spent) // cost + 1)
             ]
-            for xs in product(*choices):
-                load = sum(xs)
-                if load not in merges:
-                    merges[load] = [comb(load + m - v - c, load) for m in flows]
-                ways = _orders(xs)
-                key = tuple(map(sub, left, xs))
-                old = grown.get(key, zeros)
-                grown[key] = [
-                    o + ways * b * x for o, b, x in zip(old, merges[load], vector)
-                ]
+    return sorted(options, key=lambda option: option[1])
+
+
+def _rows(delta: int, top: int) -> dict:
+    """{(cogenus, length, barred): (ranks by m, signatures by m)}, m = 0..top:
+    the templates of cogenus 1..delta placed at flow m, each with its
+    orderings N_t(m) times its squared edge factors, summed per key;
+    ``barred`` marks a heavier edge out of vertex 0.
+
+    One transfer runs over the vertices 0, 1, ...  Edges out of vertex
+    u > v never cross gap v, so gap v is final once vertex v has its
+    edges, and templates that agree on what is still open share a state
+    (open classes, reach, budget, barred).  An open class (j, c, left) is
+    alike edges ending at vertex j, of weight c together, with ``left``
+    black vertices not yet placed; reach is the farthest edge end.  The
+    value is a rank and a signature vector over m.  At v >= 1 with
+    reach == v the template ends, and the state is the row (delta -
+    budget, v, barred).  Otherwise vertex v takes a multiset of out-edges
+    within the budget, none only when an earlier edge bypasses it.  Then
+    gap v, crossed by weight c_v, carries m - v - c_v short edges; each
+    class places some of its black vertices there, all of them in its
+    last gap, and the L placed merge with the short edges in
+    ``_orders`` * C(L + m - v - c_v, L) ways, none for m < v + c_v.
+    """
+    options = _vertex_edges(delta)
+    costs = [option[1] for option in options]
+    zeros = [0] * (top + 1)
+    rows = {}
+    states = {((), 0, delta, False): ([1] * (top + 1), [1] * (top + 1))}
+    merges = {}  # (L, v + c_v): C(L + m - v - c_v, L) by m
+    v = 0
+    while states:
+        grown = {}
+        moves = {}  # open classes after vertex v: [(classes after gap v, orders, merge)]
+        for (open_, reach, budget, barred), (ranks, signatures) in states.items():
+            if v and reach == v:  # every class has closed
+                rows[delta - budget, v, barred] = (ranks, signatures)
+                continue
+            chosen = options[0 if reach > v else 1 : bisect_right(costs, budget)]
+            for edges, cost, far, heavy, r2, s2 in chosen:
+                classes = tuple(sorted(
+                    open_ + tuple((v + s, w * n, n) for s, w, n in edges)
+                ))
+                after = (max(reach, v + far), budget - cost, barred or (heavy and v == 0))
+                if classes not in moves:
+                    low = v + sum(c for _, c, _ in classes)
+                    choices = [
+                        (left,) if j == v + 1 else range(left + 1) for j, _, left in classes
+                    ]
+                    moves[classes] = found = []
+                    for xs in product(*choices):
+                        load = sum(xs)
+                        if (load, low) not in merges:
+                            merges[load, low] = [
+                                comb(load + m - low, load) if m >= low else 0
+                                for m in range(top + 1)
+                            ]
+                        rest = tuple(sorted(
+                            (j, c, left - x)
+                            for (j, c, left), x in zip(classes, xs)
+                            if j > v + 1
+                        ))
+                        found.append((rest, _orders(xs), merges[load, low]))
+                for rest, ways, merge in moves[classes]:
+                    rank_ways, signature_ways = ways * r2, ways * s2
+                    old_ranks, old_signatures = grown.get((rest, *after), (zeros, zeros))
+                    grown[(rest, *after)] = (
+                        [a + rank_ways * b * x for a, b, x in zip(old_ranks, merge, ranks)],
+                        [a + signature_ways * b * x
+                         for a, b, x in zip(old_signatures, merge, signatures)],
+                    )
         states = grown
-    return [0] * m_min + states[(0,) * len(spans)]
+        v += 1
+    return rows
 
 
 def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
     """(rank, signature) of the delta-node count for each degree.
 
     A template at position k of a degree-d diagram leaves m = d - k of
-    flow and has N_t(m) orderings with the short edges (``_orderings``).
-    Templates of one (cogenus, length) enter the sums alike, so they share
-    one row, with N_t(m) * mult_t^2 summed over them.  H[e][m] sums the
+    flow and has N_t(m) orderings with the short edges.  Templates of one
+    (cogenus, length) enter the sums alike, so they share one row, with
+    N_t(m) * mult_t^2 summed over them (``_rows``).  H[e][m] sums the
     sequences of total cogenus e whose first template starts at flow m or
     below, each weighted by its orderings and squared edge factors:
 
@@ -185,18 +144,7 @@ def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
     of degree d is H[delta][d] less those placements.
     """
     top = max(degrees)
-    rows = {}  # (cogenus, length, barred from k = 0) -> (ranks by m, signatures by m)
-    zeros = [0] * (top + 1)
-    for t in enumerate_templates(delta):
-        rank, signature = template_mult(t)
-        r2, s2 = rank * rank, signature * signature
-        key = (t.cogenus, t.length, any(i == 0 and w > 1 for i, _, w in t.edges))
-        orderings = _orderings(t, top)
-        ranks, signatures = rows.get(key, (zeros, zeros))
-        rows[key] = (
-            [r + n * r2 for r, n in zip(ranks, orderings)],
-            [s + n * s2 for s, n in zip(signatures, orderings)],
-        )
+    rows = _rows(delta, top)
     H = [[(1, 1)] * (top + 1)]
     for e in range(1, delta + 1):
         row = [(0, 0)] * (top + 1)
@@ -224,7 +172,8 @@ def _node_pairs(degrees, delta: int) -> dict[int, tuple[int, int]]:
 def severi_by_templates_range(degrees, delta: int) -> dict[int, GWElement]:
     """Node counts {d: N^delta(d)} for every degree d in ``degrees``.
 
-    The degrees share one template enumeration and one transfer table.
+    The degrees share one transfer for the template rows and one table
+    over (flow, cogenus left).
     """
     degrees = list(degrees)
     if any(d < 1 for d in degrees) or delta < 0:

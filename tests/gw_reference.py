@@ -15,11 +15,13 @@ and point-tuple walker, and single paths are evaluated on the package's
 index tables and side walker (``walker_path_mult``, ``path_subdivisions``,
 which only tests call); the templates by filtering edge multisets through
 ``Template``, and each template sequence is placed on its own, with the
-orderings counted per placement.  Explicit dual subdivisions and the simple
-curves on them (``DualSubdivision``, ``SimpleCurve`` with its complex, real
-and arithmetic multiplicities) live here too, with the checks of a
-subdivision against its polygon (area and boundary end weights), as only
-tests build subdivisions.
+orderings counted per placement.  The package builds no template object
+(its rows come from one transfer over the vertices), so ``Template``, the
+definition of a valid template, lives here.  Explicit dual subdivisions
+and the simple curves on them (``DualSubdivision``, ``SimpleCurve`` with
+its complex, real and arithmetic multiplicities) live here too, with the
+checks of a subdivision against its polygon (area and boundary end
+weights), as only tests build subdivisions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from tropgw.paths import (
     _tables,
     lambda_key,
 )
-from tropgw.templates import Template
 
 
 def edge_factor(w: int) -> GWElement:
@@ -628,6 +629,36 @@ def delta_floor_count(d, g) -> GWElement:
 
 def severi_count(d, delta) -> GWElement:
     return delta_floor_count(d, max_genus(d) - delta)
+
+
+@dataclass(frozen=True)
+class Template:
+    """A gap-free block on vertices 0..length: no short edge (i, i + 1, 1),
+    edges at both ends, and every inner vertex bypassed by some edge."""
+
+    length: int
+    edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        if not self.edges:
+            raise ValueError("a template has at least one edge")
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        for i, j, w in self.edges:
+            if not (0 <= i < j <= self.length) or w < 1:
+                raise ValueError(f"bad template edge {(i, j, w)}")
+            if j - i == 1 and w == 1:
+                raise ValueError("templates contain no short edges")
+        touched_lo = min(i for i, _, _ in self.edges)
+        touched_hi = max(j for _, j, _ in self.edges)
+        if touched_lo != 0 or touched_hi != self.length:
+            raise ValueError("template endpoints must carry edges")
+        for v in range(1, self.length):
+            if not any(i < v < j for i, j, _ in self.edges):
+                raise ValueError(f"template has a gap at vertex {v}")
+
+    @property
+    def cogenus(self) -> int:
+        return sum((j - i) * w - 1 for i, j, w in self.edges)
 
 
 def enumerate_templates(delta):

@@ -347,6 +347,8 @@ def test_nodepoly(capsys):
     assert "Q = d^2 - 1" in out
     code, out = run_cli(capsys, "nodepoly", "--delta", "0")
     assert "P = 0" in out and "Q = 1" in out
+    assert main(["nodepoly", "--delta", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_nodepoly_csv_rows_are_template_counts(capsys):
@@ -359,12 +361,6 @@ def test_nodepoly_csv_rows_are_template_counts(capsys):
     for d, row in enumerate(rows, 1):
         value = templates.severi_by_templates(d, 2)
         assert row == f"{d},2,templates,{value.rank},{value.signature},{render(value)}"
-
-
-def test_nodepoly_budget(capsys):
-    with pytest.raises(SystemExit):
-        main(["nodepoly", "--delta", "9"])
-    assert capsys.readouterr().err == "error: delta 9 above the configured budget 6\n"
 
 
 def test_nodepoly_delta_five_within_default_budget():

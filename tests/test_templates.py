@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -9,9 +10,6 @@ from tropgw.floors import severi_count
 from tropgw.gw import ONE, gw_equal, hyperbolic, render
 from tropgw.templates import (
     FitError,
-    Template,
-    _orderings,
-    enumerate_templates,
     fit_node_polynomial,
     poly_degree,
     poly_eval,
@@ -19,7 +17,6 @@ from tropgw.templates import (
     poly_str,
     severi_by_templates,
     severi_by_templates_range,
-    template_mult,
 )
 
 
@@ -49,7 +46,7 @@ def brute_force_templates(delta, max_length=3, max_weight=3):
             if not edges:
                 continue
             try:
-                t = Template(length, edges)
+                t = ref.Template(length, edges)
             except ValueError:
                 continue
             if t.cogenus <= delta:
@@ -58,66 +55,50 @@ def brute_force_templates(delta, max_length=3, max_weight=3):
 
 
 def test_cogenus_examples():
-    assert Template(1, ((0, 1, 2),)).cogenus == 1
-    assert Template(2, ((0, 2, 1),)).cogenus == 1
-    assert Template(1, ((0, 1, 2), (0, 1, 2))).cogenus == 2
+    assert ref.Template(1, ((0, 1, 2),)).cogenus == 1
+    assert ref.Template(2, ((0, 2, 1),)).cogenus == 1
+    assert ref.Template(1, ((0, 1, 2), (0, 1, 2))).cogenus == 2
 
 
 def test_template_validation():
     with pytest.raises(ValueError):
-        Template(1, ((0, 1, 1),))  # short edge
+        ref.Template(1, ((0, 1, 1),))  # short edge
     with pytest.raises(ValueError):
-        Template(2, ((0, 1, 2),))  # right endpoint bare
+        ref.Template(2, ((0, 1, 2),))  # right endpoint bare
     with pytest.raises(ValueError):
-        Template(3, ((0, 1, 2), (2, 3, 2)))  # gap at vertex 2
+        ref.Template(3, ((0, 1, 2), (2, 3, 2)))  # gap at vertex 2
 
 
 def test_enumerate_templates_delta1():
-    ts = enumerate_templates(1)
+    ts = ref.enumerate_templates(1)
     assert {(t.length, t.edges) for t in ts} == {
         (1, ((0, 1, 2),)),
         (2, ((0, 2, 1),)),
     }
     assert all(
         not any(j - i == 1 and w == 1 for i, j, w in t.edges)
-        for t in enumerate_templates(3)
+        for t in ref.enumerate_templates(3)
     )
 
 
 def test_enumerate_templates_against_brute_force():
     for delta in (1, 2):
-        fast = set(enumerate_templates(delta))
+        fast = set(ref.enumerate_templates(delta))
         slow = brute_force_templates(delta)
         assert fast == slow, delta
-    assert sum(1 for t in enumerate_templates(2) if t.cogenus == 2) == 7
-
-
-def test_enumerate_templates_matches_reference_enumerator():
-    # same templates in the same (cogenus, length, edges) order
-    for delta in range(6):
-        assert enumerate_templates(delta) == ref.enumerate_templates(delta), delta
-    assert len(enumerate_templates(5)) == 551
-
-
-def test_template_mult_examples():
-    assert template_mult(Template(1, ((0, 1, 2),))) == (2, 0)
-    assert template_mult(Template(1, ((0, 1, 3),))) == (3, 1)
-    assert template_mult(Template(2, ((0, 2, 1),))) == (1, 1)
-    for t in enumerate_templates(3):
-        expected = ref.template_mult(t)
-        assert template_mult(t) == (expected.rank, expected.signature), t
+    assert sum(1 for t in ref.enumerate_templates(2) if t.cogenus == 2) == 7
 
 
 def test_placement_data():
     for d in (4, 5, 7):
-        t = Template(1, ((0, 1, 2),))
+        t = ref.Template(1, ((0, 1, 2),))
         k_min, k_max, nu = ref.template_placement_data(t, d)
         assert (k_min, k_max) == (1, d - 2)
         assert nu(k_max) == 1  # no parallel weight-1 edges in the last slot
         assert [nu(k) for k in range(k_min, k_max + 1)] == list(
             range(d - 2, 0, -1)
         )
-    t = Template(2, ((0, 2, 1),))
+    t = ref.Template(2, ((0, 2, 1),))
     k_min, k_max, nu = ref.template_placement_data(t, 5)
     assert (k_min, k_max) == (0, 3)
     # black vertex interleaves with the bypassed floor and parallel edges
@@ -170,28 +151,41 @@ def test_rank_specialization():
             assert value.signature == expected.signature
 
 
-def test_orderings_match_reference_interleavings():
-    # The fill's N_t(m) against the reference's gap-by-gap interleavings,
-    # with the short edges of gap v as one class of its own.
+def test_rows_match_reference_interleavings():
+    # The transfer's rows against rows summed template by template over the
+    # reference enumeration, each template's orderings counted by the
+    # reference's gap-by-gap interleavings, with the short edges of gap v as
+    # one class of its own.
     checked = 0
-    for t in enumerate_templates(4):
-        classes = [(i, j - 1, n) for (i, j, _), n in Counter(t.edges).items()]
-        crossings = [
-            sum(w for i, j, w in t.edges if i <= v < j) for v in range(t.length)
-        ]
-        m_min = max(t.length, *(v + c for v, c in enumerate(crossings)))
-        orderings = _orderings(t, m_min + 3)
-        assert orderings[:m_min] == [0] * m_min, t
-        for m in range(m_min, m_min + 4):
-            shorts = [(v, v, m - v - c) for v, c in enumerate(crossings)]
-            expected = ref.count_interleavings(t.length, classes + shorts)
-            assert orderings[m] == expected, (t, m)
-            checked += 1
-    assert checked == 548
+    for delta in range(5):
+        top = 3 * delta + 3
+        expected = {}
+        for t in ref.enumerate_templates(delta):
+            mult = ref.template_mult(t) * ref.template_mult(t)
+            classes = [(i, j - 1, n) for (i, j, _), n in Counter(t.edges).items()]
+            crossings = [
+                sum(w for i, j, w in t.edges if i <= v < j) for v in range(t.length)
+            ]
+            m_min = max(v + c for v, c in enumerate(crossings))
+            assert m_min + 3 <= top, t
+            orderings = [0] * m_min
+            for m in range(m_min, top + 1):
+                shorts = [(v, v, m - v - c) for v, c in enumerate(crossings)]
+                orderings.append(ref.count_interleavings(t.length, classes + shorts))
+                checked += 1
+            key = (t.cogenus, t.length, any(i == 0 and w > 1 for i, _, w in t.edges))
+            ranks, signatures = expected.get(key, ([0] * (top + 1), [0] * (top + 1)))
+            expected[key] = (
+                [r + n * mult.rank for r, n in zip(ranks, orderings)],
+                [s + n * mult.signature for s, n in zip(signatures, orderings)],
+            )
+        assert template_layer._rows(delta, top) == expected, delta
+    assert checked == 1920
 
 
-def test_orderings_orders_calls(monkeypatch):
-    # One _orders call per fill state and choice of its gap's placements.
+def test_rows_orders_calls(monkeypatch):
+    # One _orders call per gap, open classes after its vertex and choice of
+    # their placements, whichever states share those classes.
     calls = []
 
     def counted(sizes, orders=template_layer._orders):
@@ -200,7 +194,7 @@ def test_orderings_orders_calls(monkeypatch):
 
     monkeypatch.setattr(template_layer, "_orders", counted)
     fit_node_polynomial(5)
-    assert len(calls) == 6632
+    assert len(calls) == 1200
 
 
 def test_four_nodes_match_reference():
@@ -287,6 +281,13 @@ def test_fit_node_polynomial_examples():
         Fraction(1, 6),
     )
     assert fit3.threshold == 3
+
+
+def test_fit_threshold_is_fomin_mikhalkin():
+    # The counts follow the polynomials from d = ceil(delta / 2) + 1 on, in
+    # both the H part and the <1> part, and not from one degree lower.
+    for delta in range(3, 9):
+        assert fit_node_polynomial(delta).threshold == ceil(delta / 2) + 1, delta
 
 
 def test_fit_rejects_negative_arguments():

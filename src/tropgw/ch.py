@@ -42,6 +42,10 @@ memo key, so it is built once per process: the floors of one
 (d, beta, target), with their binomials (``_floor_terms``), and the
 sub-sequences alpha' <= alpha with I(alpha') and binom(alpha, alpha')
 (``_sub_alphas``).  Both are cached pure functions returning tuples.
+The floors read the partitions gamma from one process-wide table,
+``weighted_partitions``, which the floor transfer of ``floors`` reads
+too: each partition is its sparse classes ((w, n), ...), so a floor
+costs the number of its distinct weights, not its largest weight.
 
 Sequences are checked once, where they enter: in ``ch_count`` (``trim``
 and ``check_key``) and in the CLI's cache loader (``check_key``).  A canonical
@@ -58,7 +62,7 @@ for a key writes the same counts.
 from __future__ import annotations
 
 from functools import cache
-from itertools import count, product, zip_longest
+from itertools import count, product
 from math import comb, prod
 from operator import index, mul
 
@@ -104,7 +108,8 @@ def _seq_add(a: Sequence, k: int, delta: int) -> Sequence:
 
 
 def _partitions(remaining: int, top: int, fewest: int, most: int):
-    # parts of size at most ``top`` make up ``remaining``
+    # parts of size at most ``top`` make up ``remaining``, as classes
+    # (w, n) by increasing w
     if remaining == 0:
         if fewest <= 0 <= most:
             yield ()
@@ -116,14 +121,22 @@ def _partitions(remaining: int, top: int, fewest: int, most: int):
             rest = remaining - part * n
             if rest > (part - 1) * (most - n) or rest < fewest - n:
                 continue
-            for seq in _partitions(rest, part - 1, fewest - n, most - n):
-                yield seq + (0,) * (part - 1 - len(seq)) + (n,)
+            for classes in _partitions(rest, part - 1, fewest - n, most - n):
+                yield classes + ((part, n),)
 
 
-def weighted_partitions(total: int, fewest: int = 0, most: int | None = None):
-    """All trimmed sequences gamma with sum_i i*gamma_i = total and between
-    ``fewest`` and ``most`` parts sum_i gamma_i (``most=None``: no bound)."""
-    return _partitions(total, total, fewest, total if most is None else most)
+# the table behind ``weighted_partitions``, which stays a plain function so
+# that a wrapper around it sees every call
+@cache
+def _partition_table(total: int, fewest: int, most: int) -> tuple:
+    return tuple(_partitions(total, total, fewest, most))
+
+
+def weighted_partitions(total: int, fewest: int = 0, most: int | None = None) -> tuple:
+    """Every partition of ``total`` with between ``fewest`` and ``most``
+    parts (``most=None``: no bound), as its classes ((w, n), ...): n >= 1
+    parts of weight w, w increasing.  One table per process and arguments."""
+    return _partition_table(total, fewest, total if most is None else most)
 
 
 _memo: dict = {}
@@ -177,16 +190,22 @@ def _floor_terms(d: int, beta: Sequence, target: int) -> tuple[tuple, ...]:
     """The floors of degree d whose new free ends gamma have I(gamma) =
     target: (|gamma| - 1, beta + gamma, b * I^gamma, b * (I^gamma mod 2))
     with b = binom(beta + gamma, beta); a floor shifts the genus by
-    |gamma| - 1, at most d - 2, so gamma has at most d - 1 parts."""
+    |gamma| - 1, at most d - 2, so gamma has at most d - 1 parts.  Only the
+    classes (w, n) of gamma enter: b is the product of C(beta_w + n, n)."""
     terms = []
     for gamma in weighted_partitions(target, most=d - 1):
-        shift = sum(gamma) - 1
-        beta_p = tuple(map(sum, zip_longest(beta, gamma, fillvalue=0)))
-        prod_gamma = prod(k**n for k, n in enumerate(gamma, start=1))
-        binom_beta = prod(map(comb, beta_p, beta))
-        terms.append(
-            (shift, beta_p, binom_beta * prod_gamma, binom_beta * (prod_gamma % 2))
-        )
+        beta_p = list(beta) + [0] * (gamma[-1][0] - len(beta) if gamma else 0)
+        binom_beta = prod_gamma = 1
+        for w, n in gamma:
+            beta_p[w - 1] += n
+            binom_beta *= comb(beta_p[w - 1], n)
+            prod_gamma *= w**n
+        terms.append((
+            sum(n for _, n in gamma) - 1,
+            tuple(beta_p),
+            binom_beta * prod_gamma,
+            binom_beta * (prod_gamma % 2),
+        ))
     return tuple(terms)
 
 

@@ -133,6 +133,45 @@ def _place_ends(rwait):
     ]
 
 
+@cache
+def _start_edges(out: int, fewest: int, most: int) -> tuple:
+    """The edges a floor may start on out-flow ``out``, between ``fewest``
+    and ``most`` of them: (classes, #edges, rank, signature) per partition
+    of ``out``, with the classes (w, n) of ``ch.weighted_partitions`` and
+    the pair of the edges' squared factors (w^2, w mod 2)."""
+    return tuple(
+        (
+            classes,
+            sum(n for _, n in classes),
+            prod(w ** (2 * n) for w, n in classes),
+            prod((w % 2) ** n for w, n in classes),
+        )
+        for classes in weighted_partitions(out, fewest, most)
+    )
+
+
+@cache
+def _pick_strands(strands, need: int, allowed) -> tuple:
+    """A floor's picks of the strands that end on it, weighing at least
+    ``need`` (and one of the bits of ``allowed`` if given): (the strands
+    kept, the picked weight, the subsets picked)."""
+    return tuple(
+        (tuple((w, n - x) for (w, n), x in zip(strands, xs) if n > x), inflow, ways)
+        for xs, inflow, _, ways in _takes(strands, need, False, allowed)
+    )
+
+
+@cache
+def _sums(items) -> int:
+    """Bit e is set if some sub-multiset of the classes (w, n) of
+    ``items`` weighs e."""
+    bits = 1
+    for w, n in items:
+        for _ in range(n):
+            bits |= bits << w
+    return bits
+
+
 def _sweep(
     k: int, a: int, w_left, w_right, n_edges: int, caps, budget: int
 ) -> tuple[int, int]:
@@ -174,20 +213,17 @@ def _sweep(
     a split that starts the last edge, or a placement before such a floor,
     survives only if that floor can take some of the edges not yet ended.
     After floor a - 1 every edge ends on floor a, so only class sizes
-    matter and the last two gaps close in one sum (``finish``).  Every
-    table below lives for one call.
+    matter and the last two gaps close in one sum (``finish``).  The
+    tables of edge starts, strand picks and sub-multiset weights are pure
+    functions of their arguments, kept for the process (``_start_edges``,
+    ``_pick_strands``, ``_sums``); the tables below depend on k and the
+    right weights and live for one call.  The placements of the waiting
+    edges (``_place_edges``) are not kept at all: they are many and
+    rarely asked twice, and a process-wide table of them raised the peak
+    RSS of ``floor_count(7, 4, (10, 6, 5, 3, 3, 1), (), 3)`` from 49 to
+    124 MiB.
     """
     r_weights = sorted(set(w_right))
-
-    @cache
-    def start_edges(out: int, fewest: int, most: int):
-        starts = []
-        for gamma in weighted_partitions(out, fewest, most):
-            classes = tuple((w, n) for w, n in enumerate(gamma, 1) if n)
-            rank = prod(w ** (2 * n) for w, n in classes)
-            signature = prod((w % 2) ** n for w, n in classes)
-            starts.append((classes, sum(gamma), rank, signature))
-        return starts
 
     @cache
     def sub_pools(pool, rwait):
@@ -200,26 +236,9 @@ def _sweep(
             found.append((sum(map(mul, r_weights, taken)), left, attached, takes_of(left)))
         return sorted(found)
 
-    @cache
-    def pick_strands(strands, need: int, allowed):
-        # a floor's picks of the strands that end on it, with those kept
-        return [
-            (tuple((w, n - x) for (w, n), x in zip(strands, xs) if n > x), inflow, ways)
-            for xs, inflow, _, ways in _takes(strands, need, False, allowed)
-        ]
-
-    @cache
-    def sums(items) -> int:
-        # bit e: some sub-multiset of the classes (w, n) of ``items`` weighs e
-        bits = 1
-        for w, n in items:
-            for _ in range(n):
-                bits |= bits << w
-        return bits
-
     def takes_of(pool) -> int:
         # bit e: a floor that starts no edge may take in-flow e
-        bits = sums(tuple(zip(r_weights, pool)))
+        bits = _sums(tuple(zip(r_weights, pool)))
         return bits << k if k >= 0 else bits >> -k
 
     @cache
@@ -232,7 +251,7 @@ def _sweep(
                 break
             rest = tuple(n for n in left if n)
             by_sizes = {}  # only the class sizes of the new edges matter
-            for classes, _, r, s in start_edges(out, most, most):
+            for classes, _, r, s in _start_edges(out, most, most):
                 sizes = waits + tuple(n for _, n in classes)
                 old_r, old_s = by_sizes.get(sizes, (0, 0))
                 by_sizes[sizes] = (old_r + r, old_s + s)
@@ -262,7 +281,7 @@ def _sweep(
             need = max(k + least + caps[v] - started - held, k - held, 0)
             fits = takes_of(pool) if started == n_edges else 0
             for rest, merged, placed, ways in _place_edges(waiting, strands, need):
-                if fits and not sums(merged) & fits:
+                if fits and not _sums(merged) & fits:
                     continue  # floor v cannot take k plus some of the pool
                 if v == a - 1:  # an edge not placed by now ends on floor a:
                     rest = tuple(sorted(n for _, n in rest))  # only sizes matter
@@ -278,7 +297,7 @@ def _sweep(
         for (waiting, strands, started, pool, rwait), (r, s) in states.items():
             fewest, most = max(least - started, 0), n_edges - started
             allowed = None if most else takes_of(pool)
-            for kept, inflow, ways in pick_strands(strands, max(k + fewest, 0), allowed):
+            for kept, inflow, ways in _pick_strands(strands, max(k + fewest, 0), allowed):
                 if v == a - 1:
                     r_f, s_f = finish(waiting, pool, rwait, most, inflow)
                     rank += r * ways * r_f
@@ -290,10 +309,10 @@ def _sweep(
                         break
                     if out and not most:
                         continue
-                    for classes, parts, r_e, s_e in start_edges(out, fewest, most):
+                    for classes, parts, r_e, s_e in _start_edges(out, fewest, most):
                         new_waiting = tuple(sorted(waiting + classes))
                         if started + parts == n_edges and not (
-                            sums(tuple(sorted(new_waiting + kept))) & fits
+                            _sums(tuple(sorted(new_waiting + kept))) & fits
                         ):
                             continue  # floor v + 1 cannot take from the edges not yet ended
                         key = (new_waiting, kept, started + parts, left, attached)

@@ -73,6 +73,9 @@ def _rows(delta: int, top: int) -> dict:
     class places some of its black vertices there, all of them in its
     last gap, and the L placed merge with the short edges in
     ``_orders`` * C(L + m - v - c_v, L) ways, none for m < v + c_v.
+    Where an even edge weight zeroes the signature factor, or every
+    signature of the state is zero, the update adds nothing to the
+    signatures, so the old vector is kept.
     """
     options = _vertex_edges(delta)
     costs = [option[1] for option in options]
@@ -88,6 +91,7 @@ def _rows(delta: int, top: int) -> dict:
             if v and reach == v:  # every class has closed
                 rows[delta - budget, v, barred] = (ranks, signatures)
                 continue
+            signed = any(signatures)
             chosen = options[0 if reach > v else 1 : bisect_right(costs, budget)]
             for edges, cost, far, heavy, r2, s2 in chosen:
                 classes = tuple(sorted(
@@ -116,10 +120,15 @@ def _rows(delta: int, top: int) -> dict:
                 for rest, ways, merge in moves[classes]:
                     rank_ways, signature_ways = ways * r2, ways * s2
                     old_ranks, old_signatures = grown.get((rest, *after), (zeros, zeros))
+                    new_signatures = old_signatures
+                    if signed and signature_ways:
+                        new_signatures = [
+                            a + signature_ways * b * x
+                            for a, b, x in zip(old_signatures, merge, signatures)
+                        ]
                     grown[(rest, *after)] = (
                         [a + rank_ways * b * x for a, b, x in zip(old_ranks, merge, ranks)],
-                        [a + signature_ways * b * x
-                         for a, b, x in zip(old_signatures, merge, signatures)],
+                        new_signatures,
                     )
         states = grown
         v += 1

@@ -37,7 +37,6 @@ from tropgw.ch import (
     max_genus,
     seq_stats,
     trim,
-    weighted_partitions,
 )
 from tropgw.curves import triangle_mult
 from tropgw.floors import edge_mult
@@ -68,6 +67,18 @@ def product(factors) -> GWElement:
 # -- Caporaso-Harris recursion ---------------------------------------------
 
 _ch_memo: dict = {}
+
+
+def dense_partitions(total: int, top: int | None = None):
+    """Every partition of ``total`` into parts of at most ``top``, as its
+    count sequence (n_1, n_2, ...) with trailing zeros dropped."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(total if top is None else min(total, top), 0, -1):
+        for n in range(total // part, 0, -1):
+            for rest in dense_partitions(total - part * n, part - 1):
+                yield rest + (0,) * (part - 1 - len(rest)) + (n,)
 
 
 def seq_binom(a, b) -> int:
@@ -103,7 +114,7 @@ def _ch(d, g, alpha, beta) -> GWElement:
         target = d - 1 - seq_stats(alpha_p)[1] - seq_stats(beta)[1]
         if target < 0:
             continue
-        for gamma in weighted_partitions(target):
+        for gamma in dense_partitions(target):
             size = max(len(beta), len(gamma))
             beta_p = trim(
                 (beta + (0,) * size)[i] + (gamma + (0,) * size)[i] for i in range(size)

@@ -50,17 +50,41 @@ def partitions_by_brute_force(total: int) -> set:
 
 
 def test_weighted_partitions_match_brute_force():
+    # the package returns each partition as its classes ((w, n), ...), w
+    # increasing; their count sequences are the brute force's
     for total in range(13):
         every = partitions_by_brute_force(total)
-        assert sorted(weighted_partitions(total)) == sorted(every)
         for fewest in range(total + 2):
             for most in (None, *range(-1, total + 2)):
-                got = list(weighted_partitions(total, fewest, most))
+                got = weighted_partitions(total, fewest, most)
                 top = total if most is None else most
                 expected = {seq for seq in every if fewest <= sum(seq) <= top}
-                assert len(set(got)) == len(got), (total, fewest, most)
-                assert set(got) == expected, (total, fewest, most)
-                assert all(seq[-1] for seq in got if seq)  # trimmed
+                dense = set()
+                for classes in got:
+                    weights = [w for w, _ in classes]
+                    assert weights == sorted(set(weights)), classes  # increasing
+                    assert all(n >= 1 for _, n in classes), classes
+                    assert sum(w * n for w, n in classes) == total, classes
+                    assert fewest <= sum(n for _, n in classes) <= top, classes
+                    seq = [0] * max(weights, default=0)
+                    for w, n in classes:
+                        seq[w - 1] = n
+                    dense.add(tuple(seq))
+                assert len(dense) == len(got), (total, fewest, most)
+                assert dense == expected, (total, fewest, most)
+        assert len(weighted_partitions(total)) == len(every)
+
+
+def relative_keys(top: int) -> list:
+    """Every (d, alpha, beta) with 1 <= d <= top and I(alpha) + I(beta) = d,
+    the sequences by weight and trimmed."""
+    return [
+        (d, alpha, beta)
+        for d in range(1, top + 1)
+        for ia in range(d + 1)
+        for alpha in ref.dense_partitions(ia)
+        for beta in ref.dense_partitions(d - ia)
+    ]
 
 
 def test_trim():
@@ -129,17 +153,14 @@ def test_relative_counts_match_gw_reference():
     # top genus are compared; beta != (d) puts the class of I^beta, often not
     # a square, on the result
     checked = 0
-    for d in range(1, 7):
-        for ia in range(d + 1):
-            for alpha in weighted_partitions(ia):
-                for beta in weighted_partitions(d - ia):
-                    for g in range(1 - 3 * d, max_genus(d) + 2):
-                        value = ch_count(d, g, alpha, beta)
-                        expected = ref.ch_count(d, g, alpha, beta)
-                        assert gw_equal(value, expected), (d, g, alpha, beta)
-                        assert value.rank == expected.rank
-                        assert value.signature == expected.signature
-                        checked += 1
+    for d, alpha, beta in relative_keys(6):
+        for g in range(1 - 3 * d, max_genus(d) + 2):
+            value = ch_count(d, g, alpha, beta)
+            expected = ref.ch_count(d, g, alpha, beta)
+            assert gw_equal(value, expected), (d, g, alpha, beta)
+            assert value.rank == expected.rank
+            assert value.signature == expected.signature
+            checked += 1
     assert checked == 3150
 
 
@@ -174,11 +195,8 @@ def test_memo_keys_are_canonical():
     # inputs with a trailing zero are trimmed where they enter; the
     # recursion must not build a key with one either
     out = run_fresh(
-        "for d in range(1, 8):\n"
-        "    for ia in range(d + 1):\n"
-        "        for alpha in ch.weighted_partitions(ia):\n"
-        "            for beta in ch.weighted_partitions(d - ia):\n"
-        "                ch.ch_count(d, 0, alpha + (0,), beta + (0,))\n"
+        f"for d, alpha, beta in {relative_keys(7)!r}:\n"
+        "    ch.ch_count(d, 0, alpha + (0,), beta + (0,))\n"
         "print(repr(sorted(ch.memo_snapshot())))\n"
     )
     keys = ast.literal_eval(out)
@@ -219,13 +237,10 @@ def test_slot_width_grows_until_every_count_decodes():
     out = run_fresh(
         "ch._WIDTH = 3\n"
         "pairs = []\n"
-        "for d in range(1, 7):\n"
-        "    for ia in range(d + 1):\n"
-        "        for alpha in ch.weighted_partitions(ia):\n"
-        "            for beta in ch.weighted_partitions(d - ia):\n"
-        "                for g in range(1 - 3 * d, ch.max_genus(d) + 2):\n"
-        "                    value = ch.ch_count(d, g, alpha, beta)\n"
-        "                    pairs.append((value.rank, value.signature))\n"
+        f"for d, alpha, beta in {relative_keys(6)!r}:\n"
+        "    for g in range(1 - 3 * d, ch.max_genus(d) + 2):\n"
+        "        value = ch.ch_count(d, g, alpha, beta)\n"
+        "        pairs.append((value.rank, value.signature))\n"
         "print(max(entry[-1] for entry in ch._memo.values()))\n"
         "print(pairs)\n"
         "snapshot = ch.memo_snapshot()\n"
@@ -237,13 +252,10 @@ def test_slot_width_grows_until_every_count_decodes():
     width, pairs, reloaded = out.splitlines()
     assert int(width) == 48
     expected = []
-    for d in range(1, 7):
-        for ia in range(d + 1):
-            for alpha in weighted_partitions(ia):
-                for beta in weighted_partitions(d - ia):
-                    for g in range(1 - 3 * d, max_genus(d) + 2):
-                        value = ref.ch_count(d, g, alpha, beta)
-                        expected.append((value.rank, value.signature))
+    for d, alpha, beta in relative_keys(6):
+        for g in range(1 - 3 * d, max_genus(d) + 2):
+            value = ref.ch_count(d, g, alpha, beta)
+            expected.append((value.rank, value.signature))
     assert ast.literal_eval(pairs) == expected
     value = ch_count(7, 0)
     width, rank, signature = map(int, reloaded.split())

@@ -38,7 +38,12 @@ from tropgw.gw import (
 )
 from tropgw.lattice import delta_polygon, hirzebruch_polygon
 from tropgw.paths import count_lattice_path
-from tropgw.templates import fit_node_polynomial, severi_by_templates
+from tropgw.templates import (
+    fit_node_polynomial,
+    poly_eval,
+    poly_interpolate,
+    severi_by_templates,
+)
 
 
 def brute_force_attachments(a, w_left, w_right):
@@ -503,8 +508,16 @@ def test_connected_count_engine_calls(monkeypatch):
     assert 0 < len(calls) < 100
 
 
+def clear_floor_tables():
+    """Empty the process-wide tables of the floor transfer, so that a count
+    does its own work whatever ran before it."""
+    for table in (floor_layer._start_edges, floor_layer._pick_strands, floor_layer._sums):
+        table.cache_clear()
+
+
 def count_takes(monkeypatch, cases):
-    """The number of _takes calls of each count in ``cases``."""
+    """The number of _takes calls of each count in ``cases``, each counted
+    from empty tables."""
     calls = []
 
     def counted(*args, takes=floor_layer._takes):
@@ -514,10 +527,32 @@ def count_takes(monkeypatch, cases):
     monkeypatch.setattr(floor_layer, "_takes", counted)
     found = []
     for count, args in cases:
+        clear_floor_tables()
         calls.clear()
         count(*args)
         found.append(len(calls))
     return found
+
+
+def test_counts_from_filled_tables_match_cold_counts():
+    # The transfer's tables of edge starts, strand picks and sub-multiset
+    # weights outlive a count; what other counts left in them must not
+    # change a count.
+    cases = [
+        (floor_count, (2, 4, (3, 2, 2, 1), (), 2)),
+        (hirzebruch_count, (2, 3, 0, (11, 7, 1), (13,))),
+        (floor_count, (1, 4, (1,) * 6, (1, 1), 2)),
+        (floor_count, (2, 3, (3, 2, 2, 1, 1, 1, 1), (2, 3), 0, True)),
+    ]
+    cold = []
+    for count, args in cases:
+        clear_floor_tables()
+        cold.append(pair(count(*args)))
+    clear_floor_tables()
+    for count, args in cases:
+        count(*args)
+    warm = [pair(count(*args)) for count, args in reversed(cases)]
+    assert warm[::-1] == cold
 
 
 def test_sweep_takes_calls(monkeypatch):
@@ -615,7 +650,7 @@ def test_relative_recursion_matches_floor_count():
     # non-square classes of the relative recursion
     values = nonsquare = 0
     for d in range(1, 6):
-        for beta in weighted_partitions(d):
+        for beta in ref.dense_partitions(d):
             ends = tuple(w for w, n in enumerate(beta, start=1) for _ in range(n))
             for g in range(-2, max_genus(d) + 1):
                 value = ch_count(d, g, (), beta)
@@ -692,6 +727,29 @@ def test_hirzebruch_count_shape():
     assert set(r for r, _ in rest.terms) <= {3, -3}
     with pytest.raises(ValueError):
         hirzebruch_count(1, 2, 0, (2, 2), (1, 1))
+
+
+def test_heavy_end_weight_without_the_quadratic_cliff():
+    # Ray 1 of the Hirzebruch rays, ends (2t + 3, 1) and (2t + 1, 1): its
+    # H- and <+-W>-coefficients are polynomials in t, fitted here at
+    # t = 2..11.  At t = 49,999 the count with one bare line asks for
+    # every 2-part partition of an out-flow near 10^5; as dense sequences
+    # by weight, each as long as its largest part, that took over three
+    # minutes.  As classes (w, n), each of those partitions has at most two.
+    assert all(len(classes) <= 2 for classes in weighted_partitions(99_999, 2, 2))
+    samples = []
+    for t in range(2, 12):
+        value = hirzebruch_count(1, 2, 0, (2 * t + 3, 1), (2 * t + 1, 1))
+        samples.append((t, hyperbolic_decomposition(value)[0], value.signature))
+    hyperbolic_fit = poly_interpolate([(t, p) for t, p, _ in samples])
+    unit_fit = poly_interpolate([(t, q) for t, _, q in samples])
+    t = 49_999
+    value = hirzebruch_count(1, 2, 0, (2 * t + 3, 1), (2 * t + 1, 1))
+    p, rest = hyperbolic_decomposition(value)
+    assert p == poly_eval(hyperbolic_fit, t)
+    assert value.signature == poly_eval(unit_fit, t)
+    w = square_free((2 * t + 3) * (2 * t + 1))
+    assert all(r in (w, -w) for r, _ in rest.terms)
 
 
 def floor_decomposed_subdivision(diagram, left_ends):

@@ -26,17 +26,19 @@ Every line-free count runs one transfer, ``_sweep``, through gap 0, floor
 1, gap 1, ..., floor a, gap a, which sums nu(D) * mult(D) over all
 diagrams at once.  The left ends are the edges out of a floor 0, as in the
 templates, and the right ends wait in a pool until a floor attaches them.
-The state holds only counts of edges not yet placed or not yet given a
-target, of right ends not yet attached or not yet placed, so diagrams that
+A right end's vertex only has to come after its floor, so the floor
+counts the orders of those vertices in closed form and they never enter
+the state.  The state holds only counts of edges not yet placed or not
+yet given a target and of right ends not yet attached, so diagrams that
 agree on them share one entry.  Where states merge, the gain is large:
 ``severi_count(8, 8)`` took 74 s one diagram at a time and takes 0.1 s by
 the transfer, and ``tropgw count --method floor --k 1 --a 5 --wl
 1,1,1,1,1,1,1,1 --wr 1,1,1 --g 4``, whose small repeated end weights give
 each flow profile many end attachments, took 12 min when every edge
 tuple was summed over every attachment and takes 0.4 s (Python 3.11, 2
-CPUs).  Heavy,
-distinct end weights make every partition of a floor's out-flow its own
-state; the transfer prunes the splits that later floors cannot take.
+CPUs).  Heavy, distinct end weights make every partition of a floor's
+out-flow its own state; the transfer prunes the splits that later floors
+cannot take.
 
 Connected counts, which the transfer cannot see, follow from the
 line-free counts by the exponential formula (``_connected``): a connected
@@ -109,9 +111,9 @@ def _orders(sizes) -> int:
 
 def _place_edges(waiting, strands, need: int):
     """A gap's placements of the waiting edge vertices, at least ``need``
-    in weight: (waiting left, strands after, #placed, orders)."""
+    in weight: (waiting left, strands after, orders)."""
     found = []
-    for xs, _, placed, ways in _takes(waiting, need, True):
+    for xs, _, _, ways in _takes(waiting, need, True):
         merged = dict(strands)
         rest = []
         for (w, n), x in zip(waiting, xs):
@@ -119,18 +121,8 @@ def _place_edges(waiting, strands, need: int):
                 merged[w] = merged.get(w, 0) + x
             if n > x:
                 rest.append((w, n - x))
-        found.append((tuple(sorted(rest)), tuple(sorted(merged.items())), placed, ways))
+        found.append((tuple(sorted(rest)), tuple(sorted(merged.items())), ways))
     return found
-
-
-@cache
-def _place_ends(rwait):
-    """A gap's placements of y of the right-end vertices of the classes of
-    sizes ``rwait``: (y, orders among themselves, the sizes left)."""
-    return [
-        (sum(ys), _orders(ys), tuple(sorted(n - y for n, y in zip(rwait, ys) if n > y)))
-        for ys in product(*(range(n + 1) for n in rwait))
-    ]
 
 
 @cache
@@ -180,7 +172,7 @@ def _sweep(
 
     One transfer runs through gap 0, floor 1, gap 1, ..., floor a, gap a,
     and counts the markings of every diagram at once.  A state is
-    (waiting, strands, started, pool, rwait):
+    (waiting, strands, started, pool):
     - waiting: the classes (w, n) of edges started at one floor whose
       black vertex is not yet placed.  The left ends are floor 0's class
       of each weight, as in Fomin-Mikhalkin.  Edges from different floors
@@ -189,20 +181,29 @@ def _sweep(
     - strands: per weight, the placed black vertices of edges whose target
       is not yet chosen;
     - started: the number of edges started at floors 1..v;
-    - pool: per right-end weight, the right ends not yet attached;
-    - rwait: the sizes of the classes of attached right ends whose black
-      vertex is not yet placed, one class per floor and weight.
+    - pool: per right-end weight, the right ends not yet attached.
 
-    A gap places edge and right-end vertices, in load! / prod(n!) orders.
-    Placed edge vertices of one weight join one strand count, and placed
-    right-end vertices leave the state.  A floor picks the edges that end
-    on it among the placed ones: picking C(placed, m) of them, gap by gap,
-    counts every labelling of the placed items once (Vandermonde), and
-    which of them are left ends changes nothing after.  It attaches a
-    sub-multiset of the pool, one way per count vector since ends of one
-    weight are alike, and starts edges whose weights partition the rest of
-    its out-flow, at (w^2, w mod 2) each.  The partitions come from
-    ``ch.weighted_partitions`` with the part-count bounds below.
+    A gap places edge vertices, in load! / prod(n!) orders, and placed
+    vertices of one weight join one strand count.  A floor picks the edges
+    that end on it among the placed ones: picking C(placed, m) of them,
+    gap by gap, counts every labelling of the placed items once
+    (Vandermonde), and which of them are left ends changes nothing after.
+    It attaches a sub-multiset of the pool, one way per count vector since
+    ends of one weight are alike, and starts edges whose weights partition
+    the rest of its out-flow, at (w^2, w mod 2) each.  The partitions come
+    from ``ch.weighted_partitions`` with the part-count bounds below.
+
+    The vertex of a right end attached to floor v has one rule: it comes
+    after floor v.  So the right-end vertices need no place in the state.
+    Insert them floor by floor, from floor a down: floor v's y vertices,
+    taken_w of weight w, go among the L_v + Y items already after floor v
+    in C(L_v + Y + y, y) * y! / prod(taken_w!) ways.  Here Y is the size
+    of the pool after floor v, the right ends of later floors, and L_v
+    counts the other items after floor v: the a - v later floors, the
+    waiting vertices and one vertex per edge not yet started.  Each edge
+    floor v starts adds a waiting vertex and takes one edge from those not
+    yet started, so L_v + Y + y is read off the state before floor v, and
+    the floor multiplies this count in when it attaches its ends.
 
     With cap_q the most flow gap q carries, the edges started at floors
     1..v are at least sum(cap_q, q <= v) - S, where S is the budget of the
@@ -213,7 +214,7 @@ def _sweep(
     a split that starts the last edge, or a placement before such a floor,
     survives only if that floor can take some of the edges not yet ended.
     After floor a - 1 every edge ends on floor a, so only class sizes
-    matter and the last two gaps close in one sum (``finish``).  The
+    matter and the last two gaps close in one product (``finish``).  The
     tables of edge starts, strand picks and sub-multiset weights are pure
     functions of their arguments, kept for the process (``_start_edges``,
     ``_pick_strands``, ``_sums``); the tables below depend on k and the
@@ -226,14 +227,15 @@ def _sweep(
     r_weights = sorted(set(w_right))
 
     @cache
-    def sub_pools(pool, rwait):
-        # the sub-multisets a floor may attach, by increasing weight, with
-        # the pool they leave, rwait after and the next floor's takes_of
+    def sub_pools(pool):
+        # the sub-multisets a floor may attach, by increasing weight: their
+        # weight, the pool they leave, their count y, their orders among
+        # themselves and the next floor's takes_of
         found = []
         for taken in product(*(range(n + 1) for n in pool)):
             left = tuple(map(sub, pool, taken))
-            attached = tuple(sorted(rwait + tuple(n for n in taken if n)))
-            found.append((sum(map(mul, r_weights, taken)), left, attached, takes_of(left)))
+            weight = sum(map(mul, r_weights, taken))
+            found.append((weight, left, sum(taken), _orders(taken), takes_of(left)))
         return sorted(found)
 
     def takes_of(pool) -> int:
@@ -242,26 +244,24 @@ def _sweep(
         return bits << k if k >= 0 else bits >> -k
 
     @cache
-    def finish(waits, pool, rwait, most: int, inflow: int):
+    def finish(waits, pool, most: int, inflow: int):
         # floor a - 1 with in-flow ``inflow``, then gaps a - 1 and a
         rank = signature = 0
-        for weight, left, attached, _ in sub_pools(pool, rwait):
+        for weight, left, y, orders, _ in sub_pools(pool):
             out = inflow - k - weight
             if out < most:
                 break
-            rest = tuple(n for n in left if n)
             by_sizes = {}  # only the class sizes of the new edges matter
             for classes, _, r, s in _start_edges(out, most, most):
                 sizes = waits + tuple(n for _, n in classes)
                 old_r, old_s = by_sizes.get(sizes, (0, 0))
                 by_sizes[sizes] = (old_r + r, old_s + s)
             for sizes, (r, s) in by_sizes.items():
-                # gaps a - 1 and a: y of rwait go to gap a - 1 with every
-                # edge vertex, and gap a takes the rest and the pool left
-                ways = sum(
-                    _orders(sizes + ys) * _orders(tuple(map(sub, attached, ys)) + rest)
-                    for ys in product(*(range(n + 1) for n in attached))
-                )
+                # gap a - 1 orders every edge vertex, floor a - 1's y
+                # right-end vertices go among them, floor a and the pool
+                # left, and gap a orders the pool left
+                later = 1 + sum(sizes) + sum(pool)
+                ways = _orders(sizes) * orders * comb(later, y) * _orders(left)
                 rank += r * ways
                 signature += s * ways
         return rank, signature
@@ -269,55 +269,56 @@ def _sweep(
     pool = tuple(Counter(w_right)[w] for w in r_weights)
     waiting = tuple(sorted(Counter(w_left).items()))
     if a == 1:  # gap 0 places every left end, and floor 1 takes the pool
-        return finish(tuple(n for _, n in waiting), pool, (), 0, k)
-    states = {(waiting, (), 0, pool, ()): (1, 1)}
+        return finish(tuple(n for _, n in waiting), pool, 0, k)
+    states = {(waiting, (), 0, pool): (1, 1)}
     least = -budget  # sum(cap_q, q <= v) - S: the fewest edges floors 1..v start
     rank = signature = 0
     for v in range(1, a):
         # gap v - 1: floor v takes k plus one unit per edge it must start
         after = {}
-        for (waiting, strands, started, pool, rwait), (r, s) in states.items():
+        for (waiting, strands, started, pool), (r, s) in states.items():
             held = sum(w * n for w, n in strands)
             need = max(k + least + caps[v] - started - held, k - held, 0)
             fits = takes_of(pool) if started == n_edges else 0
-            for rest, merged, placed, ways in _place_edges(waiting, strands, need):
+            for rest, merged, ways in _place_edges(waiting, strands, need):
                 if fits and not _sums(merged) & fits:
                     continue  # floor v cannot take k plus some of the pool
                 if v == a - 1:  # an edge not placed by now ends on floor a:
                     rest = tuple(sorted(n for _, n in rest))  # only sizes matter
-                for y, orders, unplaced in _place_ends(rwait):
-                    ways_y = ways * orders * comb(placed + y, y)
-                    key = (rest, merged, started, pool, unplaced)
-                    old_r, old_s = after.get(key, (0, 0))
-                    after[key] = (old_r + r * ways_y, old_s + s * ways_y)
+                key = (rest, merged, started, pool)
+                old_r, old_s = after.get(key, (0, 0))
+                after[key] = (old_r + r * ways, old_s + s * ways)
         states = after
         # floor v
         least += caps[v]
         after = {}
-        for (waiting, strands, started, pool, rwait), (r, s) in states.items():
+        for (waiting, strands, started, pool), (r, s) in states.items():
             fewest, most = max(least - started, 0), n_edges - started
             allowed = None if most else takes_of(pool)
             for kept, inflow, ways in _pick_strands(strands, max(k + fewest, 0), allowed):
                 if v == a - 1:
-                    r_f, s_f = finish(waiting, pool, rwait, most, inflow)
+                    r_f, s_f = finish(waiting, pool, most, inflow)
                     rank += r * ways * r_f
                     signature += s * ways * s_f
                     continue
-                for weight, left, attached, fits in sub_pools(pool, rwait):
+                # L_v + Y + y: the items after floor v, its own right ends included
+                later = a - v + sum(n for _, n in waiting) + most + sum(pool)
+                for weight, left, y, orders, fits in sub_pools(pool):
                     out = inflow - k - weight
                     if out < fewest:
                         break
                     if out and not most:
                         continue
+                    ways_y = ways * orders * comb(later, y)
                     for classes, parts, r_e, s_e in _start_edges(out, fewest, most):
                         new_waiting = tuple(sorted(waiting + classes))
                         if started + parts == n_edges and not (
                             _sums(tuple(sorted(new_waiting + kept))) & fits
                         ):
                             continue  # floor v + 1 cannot take from the edges not yet ended
-                        key = (new_waiting, kept, started + parts, left, attached)
+                        key = (new_waiting, kept, started + parts, left)
                         old_r, old_s = after.get(key, (0, 0))
-                        after[key] = (old_r + r * ways * r_e, old_s + s * ways * s_e)
+                        after[key] = (old_r + r * ways_y * r_e, old_s + s * ways_y * s_e)
         states = after
     return rank, signature
 

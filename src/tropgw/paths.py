@@ -129,12 +129,10 @@ def _first_turn(path: tuple[int, ...], corners: _Corners, side: str, start: int 
 def _side_value(corners: _Corners, side: str, chain: int, memo: dict,
                 path: tuple[int, ...], mask: int, start: int = 1) -> tuple[int, int]:
     """The completion multiplicity of one side for an increasing path whose
-    ends lie on the side's boundary chain, memoized on the mask.  A child
-    path is looked up in the memo before it is built; a memo value is a
-    pair, never falsy, so ``memo.get(m) or ...`` walks only on a miss."""
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
+    ends lie on the side's boundary chain, stored in the memo under the
+    mask.  The mask must not be in the memo yet: every caller looks it up
+    before it builds the path.  A memo value is a pair, never falsy, so
+    ``memo.get(m) or ...`` walks only on a miss."""
     inner = mask & chain & ~(1 << path[0] | 1 << path[-1])
     if inner:
         b = (inner & -inner).bit_length() - 1
@@ -177,7 +175,8 @@ def _side_value(corners: _Corners, side: str, chain: int, memo: dict,
 def _side_walker(tables: _Tables, side: str):
     """(walk, memo): the completion multiplicity of one side, as a function
     walk(path, mask) for an increasing path whose ends lie on the side's
-    boundary chain, and the memo it fills, keyed by mask.
+    boundary chain and whose mask is not in the memo yet, and the memo it
+    fills, keyed by mask.
 
     A corner whose middle point lies on the chain never turns toward the
     side (the polygon is convex), so such a point is never cut or moved:

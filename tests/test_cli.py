@@ -347,6 +347,8 @@ def test_nodepoly(capsys):
     assert "Q = d^2 - 1" in out
     code, out = run_cli(capsys, "nodepoly", "--delta", "0")
     assert "P = 0" in out and "Q = 1" in out
+    code, out = run_cli(capsys, "nodepoly", "--delta", "2")
+    assert "  Q = (1/2)d^4 - 2d^2 - (3/2)d + 3\n" in out
     assert main(["nodepoly", "--delta", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

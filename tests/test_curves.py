@@ -115,6 +115,27 @@ def test_resolve_wall_degenerate():
         resolve_wall(VertexStar.from_vectors([(1, 0), (0, 1), (-1, 0), (0, -1)]))
 
 
+def test_vertex_star_rejections():
+    with pytest.raises(ValueError, match="3 or 4 edges"):
+        VertexStar((((1, 0), 1), ((-1, 0), 1)))
+    with pytest.raises(ValueError, match="not primitive"):
+        VertexStar((((2, 0), 1), ((0, 1), 2), ((-1, -1), 2)))
+    with pytest.raises(ValueError, match="weights must be positive"):
+        VertexStar((((1, 0), 0), ((0, 1), 1), ((-1, -1), 1)))
+    with pytest.raises(ValueError, match=r"unbalanced star, weighted sum \(-1, -1\)"):
+        VertexStar((((1, 0), 1), ((0, 1), 1), ((-1, -1), 2)))
+
+
+def test_vertex_mult_and_resolve_wall_errors():
+    four = VertexStar.from_vectors([(1, 0), (0, 1), (-2, 1), (1, -2)])
+    with pytest.raises(ValueError, match="needs a 3-valent star"):
+        vertex_mult(four)
+    with pytest.raises(ValueError, match="parallel edges"):
+        vertex_mult(VertexStar.from_vectors([(1, 0), (-2, 0), (1, 0)]))
+    with pytest.raises(ValueError, match="needs a 4-valent star"):
+        resolve_wall(VertexStar.from_vectors([(1, 0), (0, 1), (-1, -1)]))
+
+
 def test_resolve_wall_rank_is_plucker_sum():
     star = VertexStar.from_vectors([(1, 0), (0, 1), (-2, 1), (1, -2)])
     left, right_sum = resolve_wall(star)

@@ -454,17 +454,32 @@ NEGATIVE_K_CASES = [
     for g in range(-1, 2)
 ]
 
+# three or four right ends, beyond the grid's two
+MANY_RIGHT_ENDS_CASES = [
+    (k, a, wl, wr, g)
+    for k, a, wl, wr, top in [
+        (1, 3, (1,) * 6, (1, 1, 1), 2),
+        (1, 3, (2, 2, 2, 1), (1, 1, 2), 1),
+        (2, 2, (3, 2, 1, 1, 1), (1, 1, 1, 1), 1),
+        (0, 3, (1, 1, 2), (1, 1, 2), 2),
+    ]
+    for g in range(-1, top + 1)
+]
+
 # many splits of both end lists into a component and the rest
 MANY_SPLITS = (2, 3, (3, 2, 2, 1, 1, 1, 1), (2, 3), 0)
 
 
 def test_floor_count_matches_reference_walker_on_a_grid():
-    # the reference builds every diagram and walks its markings one at a time
-    for k, a, wl, wr, g in WEIGHTED_FLOOR_CASES + GRID_FLOOR_CASES + NEGATIVE_K_CASES:
+    # the reference builds every diagram and walks its markings one at a
+    # time, and places every right-end vertex gap by gap
+    cases = WEIGHTED_FLOOR_CASES + GRID_FLOOR_CASES + NEGATIVE_K_CASES + MANY_RIGHT_ENDS_CASES
+    for k, a, wl, wr, g in cases:
         value = floor_count(k, a, wl, wr, g)
         assert pair(value) == pair(ref.floor_count(k, a, wl, wr, g)), (k, a, wl, wr, g)
     with_lines = [c for c in GRID_FLOOR_CASES if set(c[2]) & set(c[3])]
     assert len(GRID_FLOOR_CASES) == 432 and len(with_lines) == 216
+    assert len(MANY_RIGHT_ENDS_CASES) == 14
 
 
 def test_connected_counts_match_reference_filter():
@@ -574,11 +589,17 @@ def test_sweep_takes_calls_with_right_ends(monkeypatch):
     # 1's heavy out-flow into up to two edges; a split that starts both
     # survives only if floor 2 can then take k plus some of the pool.
     # Repeated unit weights make many attachments of the ends, which the
-    # pool counts once per count vector.
+    # pool counts once per count vector.  A floor counts the orders of
+    # the vertices of the ends it attaches in closed form, so states that
+    # differed only in which of those vertices were still unplaced now
+    # merge; with the vertices placed gap by gap the second took 394.
+    # The count of ``tropgw count --method floor --k 1 --a 5 --wl
+    # 1,1,1,1,1,1,1,1 --wr 1,1,1 --g 4`` took 5,699.
     assert count_takes(monkeypatch, [
         (hirzebruch_count, (2, 3, 0, (11, 7, 1), (13,))),
         (floor_layer._line_free, (1, 4, (1,) * 6, (1, 1), 3)),
-    ]) == [116, 394]
+        (floor_count, (1, 5, (1,) * 8, (1, 1, 1), 4)),
+    ]) == [116, 317, 3458]
 
 
 def test_counts_leave_no_reference_cycles():

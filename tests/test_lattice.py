@@ -121,6 +121,12 @@ def test_repeated_vertices_are_dropped():
             Polygon.from_vertices(points)
 
 
+def test_clockwise_vertices_are_reversed():
+    assert Polygon.from_vertices([(0, 0), (0, 1), (1, 0)]) == delta_polygon(1)
+    clockwise = [(0, 2), (2, 1), (2, 0), (0, 0)]
+    assert Polygon.from_vertices(clockwise).vertices == ((0, 0), (2, 0), (2, 1), (0, 2))
+
+
 def test_subdivision_boundary_weights():
     # unit square split into two triangles along the main diagonal
     sub = DualSubdivision(
